@@ -11,16 +11,21 @@ roots a region; a region becomes one or more common table expressions:
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
-joins. All literal values are emitted as ``?`` parameters.
+joins. Every literal is bound once into the query's parameter list and
+emitted as the numbered parameter ``?N`` (its 1-based position), so a
+compiled text that appears more than once reuses the same numbers. Median
+and string_agg are ordinary aggregates registered on each connection.
 """
 
 from __future__ import annotations
 
+import math
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
 from .plans import SqrPlan, SqrStep, StepRef, analyze_plan
 from .registry import get_signature
@@ -90,20 +95,43 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
 
 # ---------------------------------------------------------------------------
 
+_INFIX = {"and": " AND ", "or": " OR ", "add": " + ", "subtract": " - ",
+          "multiply": " * "}
+_COMPARE = {"exact": "=", "greater_than": ">", "greater_than_eq": ">=",
+            "less_than": "<", "less_than_eq": "<="}
+_SIMPLE_AGGS = {"average": "AVG({})", "sum": "(SUM({}) * 1.0)",
+                "count": "COUNT({})", "count_unique": "COUNT(DISTINCT {})",
+                "max": "MAX({})", "min": "MIN({})", "get_one": "MIN({})",
+                "median": "aag_median({})", "string_agg": "aag_string_agg({})"}
+
+
+def _stddev(v: str) -> str:
+    return f"SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0))"
+
 
 class _Compiler:
     def __init__(self, ring: Ring, plan: SqrPlan):
         self.ring = ring
         self.plan = plan
         self.info = analyze_plan(ring, plan)
-        self.ctes: list[tuple[str, str, list]] = []  # (name, sql, params)
+        self.ctes: list[tuple[str, str]] = []  # (name, sql)
+        self.params: list = []
         self.subplans: list[Subplan] = []
         self._mat_cte: dict[str, str] = {}  # return label -> cte name
 
-    def _new_cte(self, sql: str, params: list, kind: str,
+    def bind(self, value) -> str:
+        """Append a literal to the query's parameters; return its ``?N``."""
+        if isinstance(value, DatetimeValue):
+            value = value.iso
+        elif isinstance(value, bool):
+            value = int(value)
+        self.params.append(value)
+        return f"?{len(self.params)}"
+
+    def _new_cte(self, sql: str, kind: str,
                  return_label: Optional[str] = None) -> str:
         name = f"sp{len(self.ctes) + 1}"
-        self.ctes.append((name, sql, params))
+        self.ctes.append((name, sql))
         self.subplans.append(Subplan(name=name, kind=kind,
                                      return_label=return_label))
         return name
@@ -113,18 +141,13 @@ class _Compiler:
         if self.plan.steps[terminal].op != "return":
             raise UnsupportedPatternError(
                 "plan must terminate in a materialization")
-        sql, params = self._region_sql(terminal)
+        sql = self._region_sql(terminal)
         self.subplans.append(Subplan(name="main", kind="terminal",
                                      return_label=terminal))
-        all_params: list = []
-        pieces = []
-        for name, cte_sql, cte_params in self.ctes:
-            pieces.append(f"{name} AS (\n{cte_sql}\n)")
-            all_params.extend(cte_params)
-        all_params.extend(params)
+        pieces = [f"{name} AS (\n{cte_sql}\n)" for name, cte_sql in self.ctes]
         full = ("WITH " + ",\n".join(pieces) + "\n" if pieces else "") + sql
         columns = [c for _, c in self.info[terminal].columns]
-        return CompiledQuery(sql=full, params=all_params,
+        return CompiledQuery(sql=full, params=self.params,
                              output_columns=columns, subplans=self.subplans)
 
     # -- region helpers -------------------------------------------------------
@@ -154,16 +177,15 @@ class _Compiler:
 
     def _materialize(self, ret_label: str) -> str:
         if ret_label not in self._mat_cte:
-            sql, params = self._region_sql(ret_label)
+            sql = self._region_sql(ret_label)
             self._mat_cte[ret_label] = self._new_cte(
-                sql, params, "materialization", ret_label)
+                sql, "materialization", ret_label)
         return self._mat_cte[ret_label]
 
     # -- region compilation --------------------------------------------------
 
-    def _region_sql(self, ret_label: str) -> tuple[str, list]:
+    def _region_sql(self, ret_label: str) -> str:
         region, upstream = self._region(ret_label)
-        ret = self.info[ret_label]
 
         scalar_mats: dict[str, str] = {}
         row_mats: dict[str, str] = {}
@@ -211,7 +233,6 @@ class _Region:
         self.row_alias: Optional[str] = None
         self.from_sql = ""
         self.where_sql = ""
-        self.where_params: list = []
 
     # -- FROM / WHERE -----------------------------------------------------------
 
@@ -231,13 +252,17 @@ class _Region:
 
     def _build_where(self) -> None:
         parts = list(self._join_conditions)
-        params: list = []
-        if self.ret.filter_label and not self._filter_consumed:
-            sql, p = self.expr(self.ret.filter_label)
-            parts.append(sql)
-            params.extend(p)
+        if self.ret.filter_label:
+            parts.append(self.expr(self.ret.filter_label))
         self.where_sql = ("WHERE " + " AND ".join(parts)) if parts else ""
-        self.where_params = params
+
+    def _column_expr(self, label: str, what: str) -> str:
+        """Compile a key that must be a plain column (it binds nothing)."""
+        bound = len(self.c.params)
+        sql = self.expr(label)
+        if len(self.c.params) != bound:
+            raise UnsupportedPatternError(f"{what} must be columns")
+        return sql
 
     # -- hoisted CTEs -------------------------------------------------------------
 
@@ -258,10 +283,7 @@ class _Region:
             sort = self.c.info[si.value_label]
             keys = []
             for k in sort.key_labels:
-                ks, kp = self.expr(k)
-                if kp:
-                    raise UnsupportedPatternError(
-                        "window sort keys must be columns")
+                ks = self._column_expr(k, "window sort keys")
                 keys.append(f"{ks} {'DESC' if sort.direction == 'desc' else 'ASC'}")
             # deterministic ranks: remaining columns break ties, ascending
             key_cols = {self.c.info[k].name for k in sort.key_labels}
@@ -272,7 +294,7 @@ class _Region:
                 f"ROW_NUMBER() OVER (ORDER BY {', '.join(keys)}) AS "
                 f"{_q(si.name)}")
         sql = f"SELECT {', '.join(select)}\nFROM {self.row_alias}"
-        cte = self.c._new_cte(sql, [], "window")
+        cte = self.c._new_cte(sql, "window")
         # the window CTE replaces the original row source
         self.row_alias = cte
         self.from_sql = f"FROM {cte}"
@@ -305,42 +327,27 @@ class _Region:
         select = []
         group = []
         for k in keys:
-            ks, kp = self.expr(k)
-            if kp:
-                raise UnsupportedPatternError("group keys must be columns")
+            ks = self._column_expr(k, "group keys")
             select.append(f"{ks} AS {_q(self.c.info[k].name)}")
             group.append(ks)
-        agg_sql, agg_params = self._agg_expr(inner)
-        select.append(f"{agg_sql} AS {_q(inner_si.name)}")
+        select.append(f"{self._agg_expr(inner)} AS {_q(inner_si.name)}")
         # the pre-aggregation filter belongs to the inner grouping
-        inner_where = self.where_sql
-        inner_params = list(self.where_params)
-        self._filter_consumed = True
         sql = (f"SELECT {', '.join(select)}\n{self.from_sql}"
-               + (f"\n{inner_where}" if inner_where else "")
+               + (f"\n{self.where_sql}" if self.where_sql else "")
                + f"\nGROUP BY {', '.join(group)}")
-        cte = self.c._new_cte(sql, agg_params + inner_params, "group")
+        cte = self.c._new_cte(sql, "group")
         # the grouping CTE becomes the region's row source
         self.row_alias = cte
         self.from_sql = f"FROM {cte}"
         self.column_of[inner] = (cte, inner_si.name)
-        self._join_conditions = []
         self.where_sql = ""
-        self.where_params = []
 
     # -- expressions ---------------------------------------------------------------
 
-    def param(self, value) -> tuple[str, list]:
-        if isinstance(value, DatetimeValue):
-            return "?", [value.iso]
-        if isinstance(value, bool):
-            return "?", [int(value)]
-        return "?", [value]
-
-    def expr(self, label: str) -> tuple[str, list]:
+    def expr(self, label: str) -> str:
         if label in self.column_of:
             alias, col = self.column_of[label]
-            return f"{_q(col)}", []
+            return f"{_q(col)}"
         step = self.c.plan.steps[label]
         si = self.c.info[label]
         op = step.op
@@ -348,149 +355,73 @@ class _Region:
         if op == "retrieve_entity":
             e = self.c.ring.entity(si.entity)
             pk = self.c.ring.table(e.primary_table).primary_key
-            return f"{_q(e.primary_table)}.{_q(pk)}", []
+            return f"{_q(e.primary_table)}.{_q(pk)}"
 
         if op == "retrieve_attribute":
             if si.attribute is not None:
                 table, column = self.c.ring.attribute(*si.attribute).source
-                return f"{_q(table)}.{_q(column)}", []
+                return f"{_q(table)}.{_q(column)}"
             if si.source_return in self.scalar_mats:
                 cte = self.scalar_mats[si.source_return]
-                return f"(SELECT {_q(si.source_column)} FROM {cte})", []
-            return f"{_q(si.source_column)}", []
+                return f"(SELECT {_q(si.source_column)} FROM {cte})"
+            return f"{_q(si.source_column)}"
 
         if get_signature(op).is_aggregation:
             return self._agg_expr(label)
 
-        args: list[tuple[str, list]] = []
-        for a in step.args:
-            if isinstance(a, StepRef):
-                args.append(self.expr(a.label))
-            else:
-                args.append(self.param(a))
-
-        def one(i):
-            return args[i][0]
-
-        params = [p for _, ps in args for p in ps]
-        if op == "and":
-            return "(" + " AND ".join(s for s, _ in args) + ")", params
-        if op == "or":
-            return "(" + " OR ".join(s for s, _ in args) + ")", params
+        args = [self.expr(a.label) if isinstance(a, StepRef) else self.c.bind(a)
+                for a in step.args]
+        if op in _INFIX:
+            return "(" + _INFIX[op].join(args) + ")"
+        if op in _COMPARE:
+            return f"({args[0]} {_COMPARE[op]} {args[1]})"
         if op == "not":
-            return f"(NOT {one(0)})", params
-        if op == "exact":
-            return f"({one(0)} = {one(1)})", params
+            return f"(NOT {args[0]})"
         if op == "contains":
-            return f"(instr({one(0)}, {one(1)}) > 0)", params
-        if op == "greater_than":
-            return f"({one(0)} > {one(1)})", params
-        if op == "greater_than_eq":
-            return f"({one(0)} >= {one(1)})", params
-        if op == "less_than":
-            return f"({one(0)} < {one(1)})", params
-        if op == "less_than_eq":
-            return f"({one(0)} <= {one(1)})", params
-        if op == "add":
-            return f"({one(0)} + {one(1)})", params
-        if op == "subtract":
-            return f"({one(0)} - {one(1)})", params
-        if op == "multiply":
-            return f"({one(0)} * {one(1)})", params
+            return f"(instr({args[0]}, {args[1]}) > 0)"
         if op == "divide":
-            return (f"(CAST({one(0)} AS REAL) / "
-                    f"NULLIF(CAST({one(1)} AS REAL), 0.0))", params)
+            acc = args[0]
+            for a in args[1:]:
+                acc = f"(CAST({acc} AS REAL) / NULLIF(CAST({a} AS REAL), 0.0))"
+            return acc
         if op == "absolute_value":
-            return f"ABS({one(0)})", params
+            return f"ABS({args[0]})"
         if op == "square_root":
-            return f"SQRT({one(0)})", params
+            return f"SQRT({args[0]})"
         if op == "percent_change":
-            a, b = one(0), one(1)
+            a, b = args
             return (f"(CASE WHEN {a} = 0 THEN NULL ELSE "
-                    f"100.0 * ({b} - {a}) / CAST({a} AS REAL) END)",
-                    args[0][1] + args[1][1] + args[0][1] + args[0][1])
+                    f"{PERCENT_CHANGE_SCALE!r} * ({b} - {a}) / "
+                    f"CAST({a} AS REAL) END)")
         if op == "duration":
-            return (f"CAST(ROUND((julianday({one(1)}) - julianday({one(0)}))"
-                    f" * 86400.0) AS INTEGER)",
-                    args[1][1] + args[0][1])
+            return (f"CAST(ROUND((julianday({args[1]}) - julianday({args[0]}))"
+                    f" * 86400.0) AS INTEGER)")
         raise UnsupportedPatternError(f"cannot compile step {label!r} ({op})")
 
-    def _agg_expr(self, label: str) -> tuple[str, list]:
+    def _agg_expr(self, label: str) -> str:
         step = self.c.plan.steps[label]
-        si = self.c.info[label]
         op = step.op
         if op == "correlation":
             refs = [a.label for a in step.args if isinstance(a, StepRef)]
-            x, xp = self.expr(refs[0])
-            y, yp = self.expr(refs[1])
-            sx = f"SQRT(MAX(AVG({x}*{x}) - AVG({x})*AVG({x}), 0.0))"
-            sy = f"SQRT(MAX(AVG({y}*{y}) - AVG({y})*AVG({y}), 0.0))"
+            x = self.expr(refs[0])
+            y = self.expr(refs[1])
             cov = f"(AVG({x}*{y}) - AVG({x})*AVG({y}))"
             return (f"(CASE WHEN COUNT({x}) < 2 THEN NULL ELSE "
-                    f"{cov} / NULLIF({sx} * {sy}, 0.0) END)",
-                    xp * 5 + yp * 5)
-        v, vp = self.expr(si.value_label)
-        if op == "average":
-            return f"AVG({v})", vp
-        if op == "sum":
-            return f"(SUM({v}) * 1.0)", vp
-        if op == "count":
-            return f"COUNT({v})", vp
-        if op == "count_unique":
-            return f"COUNT(DISTINCT {v})", vp
-        if op == "max":
-            return f"MAX({v})", vp
-        if op == "min":
-            return f"MIN({v})", vp
-        if op == "get_one":
-            return f"MIN({v})", vp
+                    f"{cov} / NULLIF({_stddev(x)} * {_stddev(y)}, 0.0) END)")
+        v = self.expr(self.c.info[label].value_label)
         if op == "standard_deviation":
-            return (f"SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0))",
-                    vp * 4)
-        if op in ("median", "string_agg"):
-            # both compile to self-contained scalar subqueries that scan the
-            # whole (filtered) row source, so they cannot honor a GROUP BY
-            if si.grouping_label is not None:
-                raise UnsupportedPatternError(f"grouped {op}")
-            if op == "median":
-                return self._median_expr(v, vp)
-            return self._string_agg_expr(v, vp)
+            return _stddev(v)
+        if op in _SIMPLE_AGGS:
+            return _SIMPLE_AGGS[op].format(v)
         raise UnsupportedPatternError(f"aggregation {op!r}")
-
-    def _source_clause(self, extra_null_check: str) -> tuple[str, list]:
-        where = self.where_sql
-        params = list(self.where_params)
-        if where:
-            where += f" AND {extra_null_check}"
-        else:
-            where = f"WHERE {extra_null_check}"
-        return f"{self.from_sql} {where}", params
-
-    def _median_expr(self, v: str, vp: list) -> tuple[str, list]:
-        src, sp = self._source_clause(f"{v} IS NOT NULL")
-        inner = (f"SELECT {v} AS mv, "
-                 f"ROW_NUMBER() OVER (ORDER BY {v}) AS mrn, "
-                 f"COUNT(*) OVER () AS mcnt {src}")
-        return (f"(SELECT AVG(mv) FROM ({inner}) "
-                f"WHERE mrn IN ((mcnt + 1) / 2, (mcnt + 2) / 2))",
-                vp + vp + sp + vp)
-
-    def _string_agg_expr(self, v: str, vp: list) -> tuple[str, list]:
-        src, sp = self._source_clause(f"{v} IS NOT NULL")
-        inner = f"SELECT {v} AS sv {src} ORDER BY {v}"
-        return (f"(SELECT GROUP_CONCAT(sv, ', ') FROM ({inner}))",
-                vp + sp + vp + vp)
 
     # -- assembly ---------------------------------------------------------------
 
-    def build(self) -> tuple[str, list]:
-        self._filter_consumed = False
+    def build(self) -> str:
         self._build_from()
-        self._build_where()
         self._hoist_windows()
+        self._build_where()
         self._hoist_nested_groups()
-        if not self._filter_consumed:
-            self._build_where()
 
         ret = self.ret
         agg_labels = [l for l in ret.collection_labels
@@ -500,49 +431,28 @@ class _Region:
                    if self.c.info[l].grouping_label is not None]
 
         select_parts: list[str] = []
-        select_params: list = []
         group_exprs: list[str] = []
-        group_params: list = []
         for label, col in ret.columns:
-            sql, p = self.expr(label)
+            sql = self.expr(label)
             select_parts.append(f"{sql} AS {_q(col.name)}")
-            select_params.extend(p)
             if agg_labels and label not in agg_labels:
                 group_exprs.append(sql)
-                group_params.extend(p)
 
-        # medians and ordered string joins compile to self-contained scalar
-        # subqueries (the row source and filter are embedded); when they are
-        # the only outputs, the outer query must not rescan the row source
-        subquery_only = agg_labels and not group_exprs and all(
-            self.c.plan.steps[l].op in ("median", "string_agg")
-            for l in agg_labels)
-        from_sql = "FROM (SELECT 1)" if subquery_only else self.from_sql
-        where_sql = "" if subquery_only else self.where_sql
-
-        sql_lines = [f"SELECT {', '.join(select_parts)}", from_sql]
-        params: list = list(select_params)
-        if where_sql:
-            sql_lines.append(where_sql)
-            params.extend(self.where_params)
+        sql_lines = [f"SELECT {', '.join(select_parts)}", self.from_sql,
+                     self.where_sql]
         if grouped and group_exprs:
             sql_lines.append(f"GROUP BY {', '.join(group_exprs)}")
-            params.extend(group_params)
         elif agg_labels and group_exprs:
             raise UnsupportedPatternError(
                 "per-row column collected alongside an ungrouped aggregation")
 
-        order, order_params = self._order_clause()
-        if order:
-            sql_lines.append(order)
-            params.extend(order_params)
+        sql_lines.append(self._order_clause())
         if ret.limit_label:
             n = self.c.plan.steps[ret.limit_label].args[0]
-            sql_lines.append("LIMIT ?")
-            params.append(int(n))
-        return "\n".join(l for l in sql_lines if l), params
+            sql_lines.append(f"LIMIT {self.c.bind(int(n))}")
+        return "\n".join(l for l in sql_lines if l)
 
-    def _order_clause(self) -> tuple[str, list]:
+    def _order_clause(self) -> str:
         ret = self.ret
         names = [col.name for _, col in ret.columns]
         if ret.sort_label:
@@ -559,8 +469,8 @@ class _Region:
             for name in names:
                 if name not in used:
                     terms.append(f"{_q(name)} ASC")
-            return "ORDER BY " + ", ".join(terms), []
-        return "ORDER BY " + ", ".join(f"{_q(n)} ASC" for n in names), []
+            return "ORDER BY " + ", ".join(terms)
+        return "ORDER BY " + ", ".join(f"{_q(n)} ASC" for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -582,35 +492,63 @@ def compile_plan(ring: Ring, plan: SqrPlan) -> CompiledQuery:
     return _Compiler(ring, _with_terminal_return(plan)).compile()
 
 
-def decompose(ring: Ring, plan: SqrPlan) -> list[Subplan]:
-    """The subplan structure a plan compiles to (CTEs plus terminal query)."""
-    return compile_plan(ring, plan).subplans
-
-
 def execute(compiled: CompiledQuery,
             db_path: Union[str, Path]) -> ResultSet:
+    """Run a compiled query on a read-only connection to ``db_path``."""
+    path = Path(db_path).absolute()
+    if not path.is_file():
+        raise DbError(f"database not found: {db_path}")
     try:
-        conn = sqlite3.connect(str(db_path))
+        conn = sqlite3.connect(path.as_uri() + "?mode=ro", uri=True)
     except sqlite3.Error as e:
         raise DbError(f"cannot open database {db_path}: {e}",
                       sql=compiled.sql) from e
     try:
         conn.create_function("SQRT", 1, _sqlite_sqrt)
+        conn.create_aggregate("aag_median", 1, _Median)
+        conn.create_aggregate("aag_string_agg", 1, _StringAgg)
         cur = conn.execute(compiled.sql, compiled.params)
         rows = [tuple(r) for r in cur.fetchall()]
     except sqlite3.Error as e:
         raise DbError(str(e), sql=compiled.sql) from e
     finally:
         conn.close()
-    return ResultSet(columns=compiled.output_columns, rows=rows, ordered=True)
+    return ResultSet(columns=compiled.output_columns, rows=rows)
 
 
 def _sqlite_sqrt(x):
     if x is None or x < 0:
         return None
-    import math
-
     return math.sqrt(x)
+
+
+class _NonNullValues:
+    """Aggregate state: the group's non-NULL inputs."""
+
+    def __init__(self):
+        self.values: list = []
+
+    def step(self, value) -> None:
+        if value is not None:
+            self.values.append(value)
+
+
+class _Median(_NonNullValues):
+    def finalize(self):
+        vals = sorted(self.values)
+        if not vals:
+            return None
+        mid = len(vals) // 2
+        if len(vals) % 2:
+            return float(vals[mid])
+        return (vals[mid - 1] + vals[mid]) / 2
+
+
+class _StringAgg(_NonNullValues):
+    def finalize(self):
+        if not self.values:
+            return None
+        return STRING_AGG_SEPARATOR.join(str(v) for v in sorted(self.values))
 
 
 def run_plan(ring: Ring, plan: SqrPlan,

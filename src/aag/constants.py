@@ -1,39 +1,26 @@
 """Semantics pinned identically for the SQL compiler and the in-memory oracle.
 
-Both evaluators read these constants but share no evaluation code; their
+Both evaluators implement these rules but share no evaluation code; their
 agreement on every plan is the core correctness property of the engine.
+
+* Standard deviation is the population one (divide by n), not the sample one.
+* The median of an even-length sequence is the mean of the two middle values.
+* Comparisons where either side is NULL/None evaluate to filter-false.
+* Aggregations skip NULL/None inputs.
+* get_one returns the first value under ascending sort of the value itself.
+* String aggregation sorts ascending and joins with ``STRING_AGG_SEPARATOR``.
+* Explicit sorts are made total by appending the remaining output columns of
+  the sorted relation, ascending, in schema order. For the shipped plan
+  shapes this equals tie-breaking on the entity identifier ascending.
+* Relations without an explicit sort are emitted in ascending order of all
+  output columns, so results are canonical without post-hoc sorting.
+* percent_change(start, end) = ``PERCENT_CHANGE_SCALE`` * (end - start) /
+  start; undefined (NULL) when start is zero.
+* duration(start, end) = whole seconds from start to end, rounded to nearest.
+* Variadic arithmetic (add, subtract, multiply, divide) folds left over all
+  its arguments; division by zero is NULL.
 """
 
-# Standard deviation mode: population (divide by n), not sample.
-STDDEV_POPULATION = True
-
-# Median of an even-length sequence is the mean of the two middle values.
-MEDIAN_MEAN_OF_MIDDLE_TWO = True
-
-# Comparisons where either side is NULL/None evaluate to filter-false.
-NULL_COMPARISON_IS_FALSE = True
-
-# Aggregations skip NULL/None inputs.
-AGGREGATES_SKIP_NULLS = True
-
-# get_one returns the first value under ascending sort of the value itself.
-GET_ONE_IS_ASCENDING_FIRST = True
-
-# String aggregation joins values with this separator, ascending sort.
 STRING_AGG_SEPARATOR = ", "
 
-# Explicit sorts are made total by appending the remaining output columns of
-# the sorted relation, ascending, in schema order. For the shipped plan
-# shapes this equals tie-breaking on the entity identifier ascending.
-TIE_BREAK_REMAINING_COLUMNS_ASCENDING = True
-
-# Relations without an explicit sort are emitted in ascending order of all
-# output columns, so results are canonical without post-hoc sorting.
-DEFAULT_ORDER_ALL_COLUMNS_ASCENDING = True
-
-# percent_change(start, end) = 100 * (end - start) / start; undefined (NULL)
-# when start is zero.
 PERCENT_CHANGE_SCALE = 100.0
-
-# duration(start, end) = whole seconds from start to end, rounded to nearest.
-DURATION_UNIT_SECONDS = True

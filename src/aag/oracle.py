@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,14 +57,8 @@ def _coerce(text: str):
 # aggregation primitives (independent numerics)
 
 
-def _values(xs: list) -> list:
-    if constants.AGGREGATES_SKIP_NULLS:
-        return [x for x in xs if x is not None]
-    return xs
-
-
 def _agg(op: str, xs: list):
-    vals = _values(xs)
+    vals = [x for x in xs if x is not None]
     if op == "count":
         return len(vals)
     if op == "count_unique":
@@ -79,13 +74,10 @@ def _agg(op: str, xs: list):
     if op == "min":
         return min(vals)
     if op == "median":
-        assert constants.MEDIAN_MEAN_OF_MIDDLE_TWO
         return float(statistics.median(vals))
     if op == "standard_deviation":
-        assert constants.STDDEV_POPULATION
         return statistics.pstdev(vals)
     if op == "get_one":
-        assert constants.GET_ONE_IS_ASCENDING_FIRST
         return sorted(vals)[0]
     if op == "string_agg":
         return constants.STRING_AGG_SEPARATOR.join(str(v) for v in sorted(vals))
@@ -109,6 +101,11 @@ def _norm(v):
     return v.iso if isinstance(v, DatetimeValue) else v
 
 
+# variadic arithmetic folds left over all its arguments
+_FOLDS = {"add": operator.add, "subtract": operator.sub,
+          "multiply": operator.mul, "divide": operator.truediv}
+
+
 def _apply_op(op: str, args: list):
     a = [_norm(x) for x in args]
     if op in ("and",):
@@ -120,7 +117,6 @@ def _apply_op(op: str, args: list):
     if op in ("exact", "contains", "greater_than", "greater_than_eq",
               "less_than", "less_than_eq"):
         if any(x is None for x in a):
-            assert constants.NULL_COMPARISON_IS_FALSE
             return False
         if op == "exact":
             return a[0] == a[1]
@@ -135,14 +131,13 @@ def _apply_op(op: str, args: list):
         return a[0] <= a[1]
     if any(x is None for x in a):
         return None
-    if op == "add":
-        return a[0] + a[1]
-    if op == "subtract":
-        return a[0] - a[1]
-    if op == "multiply":
-        return a[0] * a[1]
-    if op == "divide":
-        return a[0] / a[1] if a[1] != 0 else None
+    if op in _FOLDS:
+        acc = a[0]
+        for x in a[1:]:
+            if op == "divide" and x == 0:
+                return None
+            acc = _FOLDS[op](acc, x)
+        return acc
     if op == "absolute_value":
         return abs(a[0])
     if op == "square_root":
@@ -156,7 +151,6 @@ def _apply_op(op: str, args: list):
 
         start = datetime.fromisoformat(str(a[0]))
         end = datetime.fromisoformat(str(a[1]))
-        assert constants.DURATION_UNIT_SECONDS
         return round((end - start).total_seconds())
     raise UnsupportedPatternError(f"operation {op!r}")
 
@@ -394,8 +388,7 @@ class _Evaluator:
                     for i, env in indexed]
 
         rows = self._order_and_limit(ret, rows, scalars)
-        return ResultSet(columns=[c for _, c in ret.columns], rows=rows,
-                         ordered=True)
+        return ResultSet(columns=[c for _, c in ret.columns], rows=rows)
 
     def _is_agg(self, label: str) -> bool:
         from .registry import get_signature
@@ -478,7 +471,6 @@ class _Evaluator:
                        if k in col_labels]
             rest = [i for i in range(len(col_labels)) if i not in key_idx]
             reverse = s.direction == "desc"
-            assert constants.TIE_BREAK_REMAINING_COLUMNS_ASCENDING
 
             def sort_key(row):
                 primary = tuple(_sort_key(row[i]) for i in key_idx)
@@ -488,7 +480,6 @@ class _Evaluator:
                                                     for i in rest))
             rows = sorted(rows, key=sort_key, reverse=reverse)
         else:
-            assert constants.DEFAULT_ORDER_ALL_COLUMNS_ASCENDING
             rows = sorted(rows, key=lambda r: tuple(_sort_key(v) for v in r))
         if ret.limit_label:
             n = self.plan.steps[ret.limit_label].args[0]

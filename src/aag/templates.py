@@ -142,13 +142,6 @@ def compose_plans(template_plan: SqrPlan, parts: list[SqrPlan],
     part whose terminal step should replace it. Part step labels are renamed
     under unique numeric prefixes; the skeleton's labels are kept.
     """
-    plan, _ = compose_with_terminals(template_plan, parts, wiring)
-    return plan
-
-
-def compose_with_terminals(
-    template_plan: SqrPlan, parts: list[SqrPlan], wiring: dict[str, int]
-) -> tuple[SqrPlan, list[str]]:
     used = set(template_plan.steps)
     counter = 1
     prefixed: list[SqrPlan] = []
@@ -180,7 +173,7 @@ def compose_with_terminals(
         steps[label] = SqrStep(label, s.op, tuple(substitute(a) for a in s.args))
     plan = SqrPlan(steps=steps, result=template_plan.result)
     ensure_no_dead_steps(plan)
-    return plan, [p.result for p in prefixed]
+    return plan
 
 
 def _substitute_literals(plan: SqrPlan, values: dict[str, Any]) -> SqrPlan:
@@ -264,7 +257,7 @@ def fill_template(ring, template: PlanTemplate,
                         f"{sorted(t.value for t in slot.types)}")
 
     skeleton = _substitute_literals(template.plan, literals)
-    composed, _ = compose_with_terminals(skeleton, parts, wiring)
+    composed = compose_plans(skeleton, parts, wiring)
     analyze_plan(ring, composed)
     return composed
 

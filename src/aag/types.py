@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator
 
 
 class AttributeType(str, enum.Enum):
@@ -75,20 +74,6 @@ class DatetimeValue:
 
 
 @dataclass(frozen=True)
-class TypedValue:
-    """A scalar tagged with attribute kinds and presentation metadata."""
-
-    kind: TypeSet
-    value: Any
-    units: tuple[str, str] | str | None = None
-    nicename: str | None = None
-
-    def __post_init__(self):
-        if not self.kind:
-            raise ValueError("TypedValue.kind must be non-empty")
-
-
-@dataclass(frozen=True)
 class ColumnMeta:
     """Metadata for one output column of a plan or query."""
 
@@ -104,24 +89,9 @@ class ResultSet:
 
     columns: list[ColumnMeta]
     rows: list[tuple]
-    ordered: bool = False  # True when the plan itself fixed the row order
 
     def column_index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:
                 return i
         raise KeyError(name)
-
-    def typed_rows(self) -> Iterator[tuple[TypedValue, ...]]:
-        for row in self.rows:
-            yield tuple(
-                TypedValue(c.types, v, c.units, c.nicename)
-                for c, v in zip(self.columns, row)
-            )
-
-    def scalar(self) -> Any:
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise ValueError(
-                f"expected a 1x1 result, got {len(self.rows)}x{len(self.columns)}"
-            )
-        return self.rows[0][0]

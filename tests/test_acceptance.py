@@ -6,6 +6,7 @@ reports on the acceptance run as a whole.
 """
 
 import json
+import re
 import socket
 import time
 
@@ -23,7 +24,7 @@ from aag.blueprints import (
     render_facts,
 )
 from aag.cli import main as cli_main
-from aag.compiler import decompose, run_plan
+from aag.compiler import compile_plan, execute, run_plan
 from aag.errors import PlanTypeError
 from aag.oracle import oracle_eval
 from aag.plans import analyze_plan, serialize_plan, toposort
@@ -78,15 +79,11 @@ def test_criterion_1_template_grid_matches_oracle(ring_db, dataset):
     templates = builtin_templates()
     single_member = ("cohort_count", "cohort_stats", "cohort_average",
                      "cohort_extremes", "cohort_median", "metric_value")
-    # grouped medians are outside the compilable subset, so that
-    # aggregation is exercised only through the cohort_median template
-    aggregations = [a for a in registry.DERIVATION_AGGREGATIONS
-                    if a != "median"]
-
     start = time.monotonic()
     ran = 0
     mismatches = []
-    for agg in aggregations:
+    misnumbered = []
+    for agg in registry.DERIVATION_AGGREGATIONS:
         request = _request_for(agg)
         members = build_member_plan(ring, request)
         metric_col = f"{registry.get_signature(agg).nicename} size"
@@ -97,15 +94,22 @@ def test_criterion_1_template_grid_matches_oracle(ring_db, dataset):
             if template_id == "metric_value":
                 bindings.update({"key_col": "name", "target": "California"})
             plan = fill_template(ring, templates[template_id], bindings)
-            got = run_plan(ring, plan, db)
+            compiled = compile_plan(ring, plan)
+            # every bound parameter is referenced: SQLite itself only
+            # notices a dropped ?N when it is the highest one
+            numbers = {int(n) for n in re.findall(r"\?(\d+)", compiled.sql)}
+            if numbers != set(range(1, len(compiled.params) + 1)):
+                misnumbered.append((agg, template_id))
+            got = execute(compiled, db)
             want = oracle_eval(ring, plan, dataset)
             if not _results_agree(got, want):
                 mismatches.append((agg, template_id))
             ran += 1
     elapsed = time.monotonic() - start
-    _check(1, ran >= 40 and not mismatches and elapsed < 10.0,
+    _check(1, ran >= 40 and not mismatches and not misnumbered
+           and elapsed < 10.0,
            f"{ran} instances, {len(mismatches)} mismatches, "
-           f"{elapsed:.2f}s (budget 10s)")
+           f"{len(misnumbered)} misnumbered, {elapsed:.2f}s (budget 10s)")
 
 
 def test_criterion_2_registry_typing_is_exhaustive():
@@ -168,7 +172,7 @@ def test_criterion_3_fixture_plan_analysis(ring_db, dataset):
     plan = load_fixture_plan("average_size_by_state_2020")
     info = analyze_plan(ring, plan)
     types_ok = info["H"].types == frozenset({T.ARITHMETIC, T.METRIC})
-    subplans = decompose(ring, plan)
+    subplans = compile_plan(ring, plan).subplans
     agree = _results_agree(run_plan(ring, plan, db),
                            oracle_eval(ring, plan, dataset))
     _check(3, types_ok and len(subplans) == 1 and agree,

@@ -79,7 +79,10 @@ def test_plan_run_fails_cleanly_without_database(runner, tmp_path):
     result = runner.invoke(main, ["plan", "run", "--ring", str(ring_copy),
                                   "--plan", PLAN])
     assert result.exit_code == 1
-    assert "error:" in result.output
+    assert "error: database not found" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    # the database is opened read-only, so a missing one is not created
+    assert [p.name for p in tmp_path.iterdir()] == ["ring.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from aag.blueprints import (
     load_blueprint,
     parse_request,
 )
-from aag.compiler import compile_plan, decompose, run_plan
-from aag.errors import DbError, NoRelationshipError, UnsupportedPatternError
+from aag.compiler import compile_plan, run_plan
+from aag.errors import DbError, NoRelationshipError
 from aag.oracle import oracle_eval
 from aag.plans import plan_from_dict
 
@@ -71,9 +71,9 @@ def test_decompose_counts(ring):
         ("all_sizes", 1),
     ]
     for name, want in cases:
-        assert len(decompose(ring, load_fixture_plan(name))) == want, name
+        assert len(compile_plan(ring, load_fixture_plan(name)).subplans) == want, name
 
-    assert len(decompose(ring, _rank_plan())) == 3
+    assert len(compile_plan(ring, _rank_plan()).subplans) == 3
 
 
 def _rank_plan(sort_col="size"):
@@ -120,17 +120,87 @@ def test_median_and_string_agg_share_filter(ring_db, dataset):
     assert_matches_oracle(ring, db, dataset, plan)
 
 
-def test_grouped_median_is_rejected(ring):
+def test_grouped_median_matches_oracle(ring_db, dataset):
+    ring, db = ring_db
     plan = _steps({
         "C": {"op": "retrieve_entity", "args": ["State"]},
         "D": {"op": "retrieve_attribute", "args": ["|C|", "name"]},
         "G": {"op": "groupby", "args": ["|D|"]},
         "V": {"op": "median", "args": ["|B|", "|G|"]},
-        "L": {"op": "collect", "args": ["|D|", "|V|"]},
+        "J": {"op": "string_agg", "args": ["|B|", "|G|"]},
+        "L": {"op": "collect", "args": ["|D|", "|V|", "|J|"]},
         "R": {"op": "return", "args": ["|L|"]},
     }, "R")
-    with pytest.raises(UnsupportedPatternError, match="grouped"):
-        compile_plan(ring, plan)
+    rs = run_plan(ring, plan, db)
+    assert rs.rows == [("California", 200.0, "100.0, 200.0, 300.0"),
+                       ("Nevada", 150.0, "50.0, 150.0, 250.0")]
+    assert_matches_oracle(ring, db, dataset, plan)
+
+
+def _collect(columns, *extra, **exprs):
+    """Steps computing each named expression per fire, then returning the
+    space-separated ``columns`` (plus ``extra`` return arguments) as ``R``."""
+    steps = {"Y": {"op": "retrieve_attribute", "args": ["|A|", "year"]}}
+    steps.update({k: {"op": op, "args": args}
+                  for k, (op, args) in exprs.items()})
+    steps["L"] = {"op": "collect",
+                  "args": [f"|{k}|" for k in columns.split()]}
+    steps["R"] = {"op": "return", "args": ["|L|", *extra]}
+    return steps
+
+
+# Plans whose SQL and oracle results must agree: variadic arithmetic,
+# aggregations of computed inputs, and the rules listed in constants.py.
+# Each maps to its expected rows, or None where agreement is the check.
+ORACLE_CASES = {
+    "add_variadic": (_collect("V", V=("add", ["|B|", 1000, 1000000])), None),
+    "subtract_multiply_variadic": (_collect(
+        "V W", V=("subtract", ["|B|", 1, 2]), W=("multiply", ["|B|", 2, 3])),
+        None),
+    "divide_variadic": (_collect("V", V=("divide", ["|B|", 2, 5])),
+                        [(5.0,), (10.0,), (15.0,), (20.0,), (25.0,), (30.0,)]),
+    "divide_variadic_by_zero": (_collect("V", V=("divide", ["|B|", 2, 0])),
+                                [(None,)] * 6),
+    "correlation_of_computed_inputs": (_collect(
+        "V", X=("multiply", ["|B|", 2]), Z=("add", ["|B|", 1]),
+        V=("correlation", ["|X|", "|Z|"])), None),
+    "median_even_length": (_collect("V", V=("median", ["|B|"])), [(175.0,)]),
+    "get_one_is_ascending_first": (_collect("V", V=("get_one", ["|B|"])),
+                                   [(50.0,)]),
+    "aggregates_skip_nulls": (_collect(
+        "V1 V2 V3", Z=("subtract", ["|Y|", 2020]),
+        N=("divide", ["|B|", "|Z|"]), V1=("median", ["|N|"]),
+        V2=("count", ["|N|"]), V3=("string_agg", ["|N|"])),
+        [(-250.0, 3, "-300.0, -250.0, -150.0")]),
+    "null_comparison_is_false": (_collect(
+        "K", "|F|", N=("divide", ["|B|", 0]), F=("less_than", ["|N|", 1]),
+        K=("count", ["|B|"])), [(0,)]),
+    "sort_ties_break_on_remaining_columns_ascending": (_collect(
+        "B Y", "|S|", S=("sort", ["|Y|", "desc"])),
+        [(50.0, 2020), (100.0, 2020), (200.0, 2020),
+         (150.0, 2019), (250.0, 2019), (300.0, 2019)]),
+    "default_order_is_all_columns_ascending": (_collect("Y B"),
+        [(2019, 150.0), (2019, 250.0), (2019, 300.0),
+         (2020, 50.0), (2020, 100.0), (2020, 200.0)]),
+    "percent_change_scale": (_collect(
+        "V", V=("percent_change", ["|B|", 300])),
+        [(0.0,), (20.0,), (50.0,), (100.0,), (200.0,), (500.0,)]),
+    "duration_in_whole_seconds": ({
+        "P": {"op": "duration", "args": ["2020-01-01",
+                                         "2020-01-02T01:00:00.6"]},
+        "R": {"op": "return", "args": ["|P|"]},
+    }, [(90001,)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_plan_matches_oracle(ring_db, dataset, case):
+    ring, db = ring_db
+    steps, want = ORACLE_CASES[case]
+    plan = _steps(steps, "R")
+    assert_matches_oracle(ring, db, dataset, plan)
+    if want is not None:
+        assert run_plan(ring, plan, db).rows == want
 
 
 def test_stddev_matches_oracle(ring_db, dataset):

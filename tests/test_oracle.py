@@ -97,7 +97,6 @@ def test_limit_applies_after_sort(ring, dataset):
         "R": {"op": "return", "args": ["|B|", "|S|", "|L|"]},
     }, "R"))
     assert rs.rows == [(300.0,), (250.0,)]
-    assert rs.ordered
 
 
 def test_arithmetic_and_comparison_ops():
@@ -106,6 +105,12 @@ def test_arithmetic_and_comparison_ops():
     assert _apply_op("multiply", [2, 3]) == 6
     assert _apply_op("divide", [3, 2]) == 1.5
     assert _apply_op("divide", [3, 0]) is None
+    # variadic arithmetic folds left over every argument
+    assert _apply_op("add", [2, 3, 4]) == 9
+    assert _apply_op("subtract", [2, 3, 4]) == -5
+    assert _apply_op("multiply", [2, 3, 4]) == 24
+    assert _apply_op("divide", [12, 2, 4]) == 1.5
+    assert _apply_op("divide", [12, 2, 0]) is None
     assert _apply_op("absolute_value", [-4]) == 4
     assert _apply_op("greater_than", [3, 2]) is True
     assert _apply_op("less_than_eq", [2, 2]) is True

@@ -193,7 +193,6 @@ def test_composition_produces_unique_acyclic_labels(sizes):
 
 def test_composition_prefixes_collide_safely():
     from aag.plans import SlotArg
-    from aag.templates import compose_with_terminals
 
     # the skeleton already uses a label the first candidate prefix would
     # produce, so the part must be pushed to the next prefix
@@ -206,7 +205,8 @@ def test_composition_prefixes_collide_safely():
         },
         result="R",
     )
-    composed, terminals = compose_with_terminals(skeleton, [part], {"p": 0})
-    assert terminals[0] != "1B"
-    assert terminals[0].endswith("B")
+    composed = compose_plans(skeleton, [part], {"p": 0})
+    wired = composed.steps["C"].args[1].label
+    assert wired != "1B"
+    assert wired.endswith("B")
     assert len(composed.steps) == 5

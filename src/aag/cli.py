@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import click
@@ -109,10 +110,11 @@ def plan_run(ring_path: str, plan_path: str, out: str | None, verbose: bool):
         p = load_plan(plan_path)
         compiled = compiler.compile_plan(r, p)
         if verbose:
-            click.echo(compiled.sql, err=True)
-            click.echo(f"-- params: {compiled.params}", err=True)
+            for sql, params in compiled.statements():
+                click.echo(f"{sql}\n-- params: {params}", err=True)
         db = r.db_path(Path(ring_path).parent)
-        result = compiler.execute(compiled, db)
+        with closing(compiler.connect(db)) as conn:
+            result = compiler.execute(compiled, conn)
     except AagError as e:
         click.echo(f"error: {e}", err=True)
         raise SystemExit(1)
@@ -158,11 +160,15 @@ def report_generate(ring_path: str, request_path: str, mode: str,
             return
 
         db = r.db_path(Path(ring_path).parent)
-        for fact in facts:
-            compiled = compiler.compile_plan(r, fact.plan)
-            if verbose:
-                click.echo(f"-- {fact.id}\n{compiled.sql}", err=True)
-            fact.result = compiler.execute(compiled, db)
+        # one connection per report: its facts share the TEMP tables on it
+        with closing(compiler.connect(db)) as conn:
+            for fact in facts:
+                compiled = compiler.compile_plan(r, fact.plan)
+                if verbose:
+                    click.echo(f"-- {fact.id}", err=True)
+                    for sql, params in compiled.statements():
+                        click.echo(f"{sql}\n-- params: {params}", err=True)
+                fact.result = compiler.execute(compiled, conn)
 
         if mode == "tables":
             pieces = [render_table(f.result, title=f.id) for f in facts]

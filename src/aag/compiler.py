@@ -1,9 +1,11 @@
 """Plan-to-SQL compilation and execution.
 
 A plan is compiled region by region. Every materialization step ("return")
-roots a region; a region becomes one or more common table expressions:
+roots a region, and a region becomes one statement:
 
-* a mid-plan materialization becomes a CTE (``sp1``, ``sp2``, ...);
+* a mid-plan materialization becomes its own statement, run as a TEMP table
+  named ``m_`` plus 16 hex digits of the SHA-1 of its SQL (upstream names
+  included) and parameters, so each plan of a report names it alike;
 * a window rank inside a region is hoisted into its own CTE that copies the
   source's columns and appends the rank column;
 * an aggregation whose input is itself a grouped aggregation is hoisted into
@@ -11,16 +13,18 @@ roots a region; a region becomes one or more common table expressions:
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
-joins. Every literal is bound once into the query's parameter list and
+joins. Every literal is bound once into its statement's parameter list and
 emitted as the numbered parameter ``?N`` (its 1-based position), so a
 compiled text that appears more than once reuses the same numbers. Median
-and string_agg are ordinary aggregates registered on each connection.
+and string_agg are ordinary aggregates registered by ``connect``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -35,17 +39,25 @@ from .types import ColumnMeta, DatetimeValue, ResultSet
 
 @dataclass(frozen=True)
 class Subplan:
-    name: str          # CTE name (sp1, ...) or "main" for the terminal query
+    name: str          # m_<hash>, CTE name (sp1, ...) or "main"
     kind: str          # "materialization" | "window" | "group" | "terminal"
     return_label: Optional[str] = None
 
 
 @dataclass
 class CompiledQuery:
-    sql: str
+    sql: str           # the terminal statement
     params: list
     output_columns: list[ColumnMeta]
     subplans: list[Subplan] = field(default_factory=list)
+    # (name, sql, params) of each materialization, upstream first
+    materializations: list = field(default_factory=list)
+
+    def statements(self) -> list[tuple[str, list]]:
+        """What ``execute`` runs, in order: (sql, params) pairs."""
+        return [(f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}", params)
+                for name, sql, params in self.materializations
+                ] + [(self.sql, self.params)]
 
 
 @dataclass
@@ -117,10 +129,11 @@ class _Compiler:
         self.ctes: list[tuple[str, str]] = []  # (name, sql)
         self.params: list = []
         self.subplans: list[Subplan] = []
-        self._mat_cte: dict[str, str] = {}  # return label -> cte name
+        self._mats: dict[str, tuple[str, str, list]] = {}  # by return label
 
     def bind(self, value) -> str:
-        """Append a literal to the query's parameters; return its ``?N``."""
+        """Append a literal to the statement's parameters; return its
+        ``?N``."""
         if isinstance(value, DatetimeValue):
             value = value.iso
         elif isinstance(value, bool):
@@ -128,12 +141,10 @@ class _Compiler:
         self.params.append(value)
         return f"?{len(self.params)}"
 
-    def _new_cte(self, sql: str, kind: str,
-                 return_label: Optional[str] = None) -> str:
+    def _new_cte(self, sql: str, kind: str) -> str:
         name = f"sp{len(self.ctes) + 1}"
         self.ctes.append((name, sql))
-        self.subplans.append(Subplan(name=name, kind=kind,
-                                     return_label=return_label))
+        self.subplans.append(Subplan(name=name, kind=kind))
         return name
 
     def compile(self) -> CompiledQuery:
@@ -144,11 +155,10 @@ class _Compiler:
         sql = self._region_sql(terminal)
         self.subplans.append(Subplan(name="main", kind="terminal",
                                      return_label=terminal))
-        pieces = [f"{name} AS (\n{cte_sql}\n)" for name, cte_sql in self.ctes]
-        full = ("WITH " + ",\n".join(pieces) + "\n" if pieces else "") + sql
         columns = [c for _, c in self.info[terminal].columns]
-        return CompiledQuery(sql=full, params=self.params,
-                             output_columns=columns, subplans=self.subplans)
+        return CompiledQuery(sql=sql, params=self.params,
+                             output_columns=columns, subplans=self.subplans,
+                             materializations=list(self._mats.values()))
 
     # -- region helpers -------------------------------------------------------
 
@@ -176,11 +186,18 @@ class _Compiler:
         )
 
     def _materialize(self, ret_label: str) -> str:
-        if ret_label not in self._mat_cte:
-            sql = self._region_sql(ret_label)
-            self._mat_cte[ret_label] = self._new_cte(
-                sql, "materialization", ret_label)
-        return self._mat_cte[ret_label]
+        """Compile the region to a statement with its own CTEs and
+        parameters; return the table name its content gives it."""
+        if ret_label not in self._mats:
+            outer = self.ctes, self.params
+            self.ctes, self.params = [], []
+            sql, params = self._region_sql(ret_label), self.params
+            self.ctes, self.params = outer
+            key = repr((sql, params)).encode()
+            name = "m_" + hashlib.sha1(key).hexdigest()[:16]
+            self._mats[ret_label] = (name, sql, params)
+            self.subplans.append(Subplan(name, "materialization", ret_label))
+        return self._mats[ret_label][0]
 
     # -- region compilation --------------------------------------------------
 
@@ -190,11 +207,11 @@ class _Compiler:
         scalar_mats: dict[str, str] = {}
         row_mats: dict[str, str] = {}
         for up in sorted(upstream):
-            cte = self._materialize(up)
+            table = self._materialize(up)
             if self._is_scalar_mat(up):
-                scalar_mats[up] = cte
+                scalar_mats[up] = table
             else:
-                row_mats[up] = cte
+                row_mats[up] = table
 
         entity_labels = sorted(
             l for l in region
@@ -212,9 +229,10 @@ class _Compiler:
             raise UnsupportedPatternError(
                 "region reads more than one multi-row materialization")
 
-        ctx = _Region(self, region, ret_label, scalar_mats, row_mats,
-                      entity_names)
-        return ctx.build()
+        sql = _Region(self, region, ret_label, scalar_mats, row_mats,
+                      entity_names).build()
+        pieces = [f"{name} AS (\n{cte_sql}\n)" for name, cte_sql in self.ctes]
+        return ("WITH " + ",\n".join(pieces) + "\n" if pieces else "") + sql
 
 
 class _Region:
@@ -242,9 +260,8 @@ class _Region:
             self.from_sql = "FROM " + ", ".join(_q(t) for t in res.tables)
             self._join_conditions = list(res.conditions)
         elif self.row_mats:
-            label, cte = next(iter(self.row_mats.items()))
-            self.row_alias = cte
-            self.from_sql = f"FROM {cte}"
+            self.row_alias = next(iter(self.row_mats.values()))
+            self.from_sql = f"FROM {self.row_alias}"
             self._join_conditions = []
         else:
             self.from_sql = "FROM (SELECT 1)"
@@ -362,8 +379,8 @@ class _Region:
                 table, column = self.c.ring.attribute(*si.attribute).source
                 return f"{_q(table)}.{_q(column)}"
             if si.source_return in self.scalar_mats:
-                cte = self.scalar_mats[si.source_return]
-                return f"(SELECT {_q(si.source_column)} FROM {cte})"
+                table = self.scalar_mats[si.source_return]
+                return f"(SELECT {_q(si.source_column)} FROM {table})"
             return f"{_q(si.source_column)}"
 
         if get_signature(op).is_aggregation:
@@ -492,27 +509,30 @@ def compile_plan(ring: Ring, plan: SqrPlan) -> CompiledQuery:
     return _Compiler(ring, _with_terminal_return(plan)).compile()
 
 
-def execute(compiled: CompiledQuery,
-            db_path: Union[str, Path]) -> ResultSet:
-    """Run a compiled query on a read-only connection to ``db_path``."""
+def connect(db_path: Union[str, Path]) -> sqlite3.Connection:
+    """Open ``db_path`` read-only, in autocommit, with the aag functions."""
     path = Path(db_path).absolute()
     if not path.is_file():
         raise DbError(f"database not found: {db_path}")
     try:
-        conn = sqlite3.connect(path.as_uri() + "?mode=ro", uri=True)
+        conn = sqlite3.connect(path.as_uri() + "?mode=ro", uri=True,
+                               isolation_level=None)
     except sqlite3.Error as e:
-        raise DbError(f"cannot open database {db_path}: {e}",
-                      sql=compiled.sql) from e
-    try:
-        conn.create_function("SQRT", 1, _sqlite_sqrt)
-        conn.create_aggregate("aag_median", 1, _Median)
-        conn.create_aggregate("aag_string_agg", 1, _StringAgg)
-        cur = conn.execute(compiled.sql, compiled.params)
-        rows = [tuple(r) for r in cur.fetchall()]
-    except sqlite3.Error as e:
-        raise DbError(str(e), sql=compiled.sql) from e
-    finally:
-        conn.close()
+        raise DbError(f"cannot open database {db_path}: {e}") from e
+    conn.create_function("SQRT", 1, _sqlite_sqrt)
+    conn.create_aggregate("aag_median", 1, _Median)
+    conn.create_aggregate("aag_string_agg", 1, _StringAgg)
+    return conn
+
+
+def execute(compiled: CompiledQuery,
+            conn: sqlite3.Connection) -> ResultSet:
+    """Build the TEMP tables of the query ``conn`` lacks, then run it."""
+    for sql, params in compiled.statements():
+        try:
+            rows = [tuple(r) for r in conn.execute(sql, params)]
+        except sqlite3.Error as e:
+            raise DbError(str(e), sql=sql) from e
     return ResultSet(columns=compiled.output_columns, rows=rows)
 
 
@@ -553,4 +573,5 @@ class _StringAgg(_NonNullValues):
 
 def run_plan(ring: Ring, plan: SqrPlan,
              db_path: Union[str, Path]) -> ResultSet:
-    return execute(compile_plan(ring, plan), db_path)
+    with closing(connect(db_path)) as conn:
+        return execute(compile_plan(ring, plan), conn)

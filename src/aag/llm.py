@@ -99,11 +99,11 @@ def _remote(prompt: str, config: GenerationConfig) -> str:
             if resp.status_code in (401, 403):
                 raise AuthError(resp.status_code, resp.text)
             if resp.status_code == 200:
-                doc = resp.json()
                 try:
-                    return doc["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as e:
-                    raise HttpError(200, f"malformed response: {doc!r}") from e
+                    return resp.json()["choices"][0]["message"]["content"]
+                except (ValueError, KeyError, IndexError, TypeError) as e:
+                    raise HttpError(
+                        200, f"malformed response: {resp.text}") from e
             if resp.status_code == 429 or resp.status_code >= 500:
                 last = f"{resp.status_code}: {resp.text[:200]}"
             else:

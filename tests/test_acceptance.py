@@ -9,6 +9,7 @@ import json
 import re
 import socket
 import time
+from contextlib import closing
 
 import pytest
 from click.testing import CliRunner
@@ -24,7 +25,7 @@ from aag.blueprints import (
     render_facts,
 )
 from aag.cli import main as cli_main
-from aag.compiler import compile_plan, execute, run_plan
+from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import PlanTypeError
 from aag.oracle import oracle_eval
 from aag.plans import analyze_plan, serialize_plan, toposort
@@ -95,12 +96,14 @@ def test_criterion_1_template_grid_matches_oracle(ring_db, dataset):
                 bindings.update({"key_col": "name", "target": "California"})
             plan = fill_template(ring, templates[template_id], bindings)
             compiled = compile_plan(ring, plan)
-            # every bound parameter is referenced: SQLite itself only
-            # notices a dropped ?N when it is the highest one
-            numbers = {int(n) for n in re.findall(r"\?(\d+)", compiled.sql)}
-            if numbers != set(range(1, len(compiled.params) + 1)):
-                misnumbered.append((agg, template_id))
-            got = execute(compiled, db)
+            # every bound parameter of every statement is referenced: SQLite
+            # itself only notices a dropped ?N when it is the highest one
+            for sql, params in compiled.statements():
+                numbers = {int(n) for n in re.findall(r"\?(\d+)", sql)}
+                if numbers != set(range(1, len(params) + 1)):
+                    misnumbered.append((agg, template_id))
+            with closing(connect(db)) as conn:
+                got = execute(compiled, conn)
             want = oracle_eval(ring, plan, dataset)
             if not _results_agree(got, want):
                 mismatches.append((agg, template_id))

@@ -1,6 +1,11 @@
 import json
+import re
+import shutil
+import sqlite3
+import stat
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from aag.cli import main
@@ -71,6 +76,33 @@ def test_plan_run_verbose_shows_sql(runner, cli_ring_path):
     assert result.exit_code == 0
     assert "SELECT" in result.output
     assert "params" in result.output
+
+
+def test_plan_run_verbose_shows_every_statement(runner, cli_ring_path,
+                                                tmp_path):
+    # the 2020 averages by state, materialized, then California's row
+    doc = json.loads((FIXTURES / "plans" /
+                      "average_size_by_state_2020.json").read_text())
+    doc["steps"].update({
+        "K": {"op": "retrieve_attribute", "args": ["|I|", "name"]},
+        "V": {"op": "retrieve_attribute", "args": ["|I|", "average size"]},
+        "T": {"op": "exact", "args": ["|K|", "California"]},
+        "R": {"op": "return", "args": ["|V|", "|T|"]},
+    })
+    doc["result"] = "R"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+                  "--plan", str(plan), "--verbose")
+    assert result.exit_code == 0
+    out = result.output
+    name = re.search(r"CREATE TEMP TABLE IF NOT EXISTS (m_[0-9a-f]{16}) AS\n",
+                     out).group(1)
+    create = out.index("CREATE TEMP TABLE")
+    terminal = out.index(f"FROM {name}")
+    assert create < out.index("-- params: [2020]") < terminal \
+        < out.index("-- params: ['California']")
+    assert "| 150.0 |" in out
 
 
 def test_plan_run_fails_cleanly_without_database(runner, tmp_path):
@@ -153,3 +185,67 @@ def test_report_rejects_unknown_mode(runner, cli_ring_path):
                                   "--request", RANKING,
                                   "--mode", "interpretive-dance"])
     assert result.exit_code == 2
+
+
+def _private_copy(cli_ring_path, tmp_path):
+    ring = tmp_path / cli_ring_path.name
+    shutil.copy(cli_ring_path, ring)
+    shutil.copy(cli_ring_path.parent / "wildfire.db", tmp_path / "wildfire.db")
+    return ring, tmp_path / "wildfire.db"
+
+
+def test_report_holds_no_lock_and_sees_new_rows(runner, cli_ring_path,
+                                                tmp_path):
+    ring, db = _private_copy(cli_ring_path, tmp_path)
+    args = ["report", "generate", "--ring", str(ring), "--request", RANKING,
+            "--mode", "statements"]
+    before = _run(runner, *args)
+    assert "A total of 2 states were compared." in before.output
+    writer = sqlite3.connect(db, timeout=0, isolation_level=None)
+    try:
+        writer.execute("BEGIN EXCLUSIVE")  # fails if the report left a lock
+        writer.execute("INSERT INTO states (id, name) VALUES (3, 'Oregon')")
+        writer.execute("INSERT INTO wildfires (id, state_id, size_acres, "
+                       "year) VALUES (99, 3, 10.0, 2020)")
+        writer.execute("COMMIT")
+    finally:
+        writer.close()
+    after = _run(runner, *args)
+    assert after.exit_code == 0
+    assert "A total of 3 states were compared." in after.output
+
+
+def test_report_runs_on_read_only_database(runner, cli_ring_path, tmp_path):
+    ring, db = _private_copy(cli_ring_path, tmp_path)
+    args = ["report", "generate", "--request", RANKING, "--mode",
+            "statements"]
+    want = _run(runner, *args, "--ring", str(cli_ring_path)).output
+    db.chmod(0o444)
+    tmp_path.chmod(0o555)
+    try:
+        result = _run(runner, *args, "--ring", str(ring))
+    finally:
+        tmp_path.chmod(0o755)
+    assert result.exit_code == 0
+    assert result.output == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["wildfire.db", "wildfire_ring.json"]
+    assert stat.S_IMODE(db.stat().st_mode) == 0o444
+
+
+def test_remote_non_json_reply_exits_1(runner, cli_ring_path, monkeypatch):
+    class HtmlResponse:
+        status_code = 200
+        text = "<html>gateway</html>"
+
+        def json(self):
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+    monkeypatch.setattr(requests, "post", lambda *a, **k: HtmlResponse())
+    result = runner.invoke(main, ["report", "generate",
+                                  "--ring", str(cli_ring_path),
+                                  "--request", RANKING,
+                                  "--backend", "remote"])
+    assert result.exit_code == 1
+    assert "malformed response: <html>gateway</html>" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback

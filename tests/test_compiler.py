@@ -1,18 +1,23 @@
 import json
 import math
+import re
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from aag.blueprints import (
+    build_member_plan,
     builtin_templates,
     instantiate,
     load_blueprint,
     parse_request,
 )
-from aag.compiler import compile_plan, run_plan
+from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import DbError, NoRelationshipError
 from aag.oracle import oracle_eval
 from aag.plans import plan_from_dict
+from aag.templates import fill_template
 
 from conftest import load_fixture_plan, load_fixture_request
 
@@ -256,3 +261,88 @@ def test_all_blueprint_plans_match_oracle(ring_db, dataset):
             assert_matches_oracle(ring, db, dataset, fact.plan)
             total += 1
     assert total == 7 + 6 + 9
+
+
+# ---------------------------------------------------------------------------
+# shared materializations
+
+
+def _fixture_facts(ring, name):
+    request = parse_request(json.loads(load_fixture_request(name)))
+    return instantiate(ring, load_blueprint(request.report), request)
+
+
+def _table_names(ring, plan):
+    return [name for name, _, _ in compile_plan(ring, plan).materializations]
+
+
+def _ranking_members(ring, filters=None):
+    request = parse_request(json.loads(load_fixture_request(
+        "ranking_california")))
+    return build_member_plan(ring, request, filters)
+
+
+def _compose(ring, template_id, members):
+    return fill_template(ring, builtin_templates()[template_id], {
+        "members": members, "key_col": "name", "metric_col": "average size",
+        "target": "California"})
+
+
+def test_members_table_is_named_by_content_not_labels(ring):
+    members = _ranking_members(ring)
+    value = _compose(ring, "metric_value", members)
+    rank = _compose(ring, "rank", members)
+    # composition prefixes the members' labels differently in each plan
+    assert set(value.steps) != set(rank.steps)
+    assert _table_names(ring, value) == _table_names(ring, rank)
+    [(name, sql, params)] = compile_plan(ring, value).materializations
+    assert re.fullmatch(r"m_[0-9a-f]{16}", name)
+    assert sql.startswith("SELECT") and params == []
+
+
+def test_table_names_differ_by_period(ring):
+    facts = {f.id: f for f in _fixture_facts(ring,
+                                             "time_over_time_california")}
+    start = _table_names(ring, facts["target_value_start"].plan)
+    end = _table_names(ring, facts["target_value_end"].plan)
+    assert len(start) == len(end) == 1 and start != end
+
+
+def test_table_names_differ_by_literal_type(ring):
+    names = [
+        _table_names(ring, _compose(ring, "metric_value", _ranking_members(
+            ring, [{"attribute": "year", "op": "exact", "value": year}])))
+        for year in (2019, "2019")]
+    assert len(names[0]) == 1 and names[0] != names[1]
+
+
+@pytest.mark.parametrize("name, tables", [
+    ("benchmark_california", 3),
+    ("ranking_california", 4),
+    ("time_over_time_california", 6),
+])
+def test_one_connection_per_report_matches_one_per_fact(ring_db, name,
+                                                       tables):
+    ring, db = ring_db
+    facts = _fixture_facts(ring, name)
+    with closing(connect(db)) as conn:
+        shared = [execute(compile_plan(ring, f.plan), conn).rows
+                  for f in facts]
+        built = conn.execute(
+            "SELECT COUNT(*) FROM sqlite_temp_master WHERE type = 'table'"
+        ).fetchone()[0]
+    assert shared == [run_plan(ring, f.plan, db).rows for f in facts]
+    assert built == tables
+
+
+def test_failed_materialization_names_its_statement(ring_db, tmp_path):
+    ring, db = ring_db
+    facts = _fixture_facts(ring, "ranking_california")
+    compiled = compile_plan(ring, facts[0].plan)
+    empty = tmp_path / "empty.db"
+    sqlite3.connect(empty).close()
+    [(name, _, _)] = compiled.materializations
+    with closing(connect(empty)) as conn, \
+            pytest.raises(DbError, match="no such table") as err:
+        execute(compiled, conn)
+    assert err.value.sql.startswith(f"CREATE TEMP TABLE IF NOT EXISTS {name}")

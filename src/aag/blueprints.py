@@ -8,22 +8,18 @@ derived names (column names, display names) are computed from the ring.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-try:
-    from importlib.resources import files as _pkg_files
-except ImportError:  # pragma: no cover - py<3.9
-    _pkg_files = None
-
 from . import registry
 from .errors import ParseError, UnknownAttributeError, UnknownEntityError
-from .plans import SqrPlan, SqrStep, StepRef
+from .plans import SqrPlan, SqrStep, StepInfo, StepRef
 from .ring import Ring
 from .statements import StatementTemplate, format_value, render_statement
-from .templates import PlanTemplate, fill_template, load_templates
+from .templates import PlanAnalyses, PlanTemplate, fill_template, load_templates
 from .types import ResultSet
 
 REQUEST_FORMAT_VERSION = "report_request_v1"
@@ -142,6 +138,8 @@ def _data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+# package data is parsed once per process, on first use: treat it as read-only
+@functools.cache
 def load_blueprint(report: str) -> Blueprint:
     path = _data_dir() / "blueprints" / f"{report}.json"
     if not path.exists():
@@ -149,6 +147,7 @@ def load_blueprint(report: str) -> Blueprint:
     return blueprint_from_dict(json.loads(path.read_text()))
 
 
+@functools.cache
 def builtin_templates() -> dict[str, PlanTemplate]:
     return load_templates(_data_dir() / "plan_templates.json")
 
@@ -216,6 +215,7 @@ class Fact:
     plan: SqrPlan
     statement: StatementTemplate
     statement_inputs: dict[str, str]
+    info: Optional[dict[str, StepInfo]] = None  # the analysis of ``plan``
     result: Optional[ResultSet] = None
     text: Optional[str] = None
 
@@ -278,6 +278,7 @@ def instantiate(ring: Ring, blueprint: Blueprint,
     """Turn a request into one fully composed plan per requirement."""
     templates = templates or builtin_templates()
     ctx = _context(ring, request)
+    analyze = PlanAnalyses(ring)  # each part is analyzed once per report
 
     parts: dict[str, SqrPlan] = {
         "members": build_member_plan(ring, request),
@@ -300,12 +301,12 @@ def instantiate(ring: Ring, blueprint: Blueprint,
         template = templates[req.template]
         bindings = {name: _resolve(spec, request, ctx, parts)
                     for name, spec in req.bindings.items()}
-        plan = fill_template(ring, template, bindings)
+        plan = fill_template(ring, template, bindings, analyze)
         inputs = {name: str(_resolve(spec, request, ctx, parts))
                   for name, spec in req.statement_inputs.items()}
         facts.append(Fact(id=req.id, template_id=req.template, plan=plan,
                           statement=template.statement,
-                          statement_inputs=inputs))
+                          statement_inputs=inputs, info=analyze(plan)))
     return facts
 
 

@@ -163,7 +163,7 @@ def report_generate(ring_path: str, request_path: str, mode: str,
         # one connection per report: its facts share the TEMP tables on it
         with closing(compiler.connect(db)) as conn:
             for fact in facts:
-                compiled = compiler.compile_plan(r, fact.plan)
+                compiled = compiler.compile_plan(r, fact.plan, fact.info)
                 if verbose:
                     click.echo(f"-- {fact.id}", err=True)
                     for sql, params in compiled.statements():

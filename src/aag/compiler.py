@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
-from .plans import SqrPlan, SqrStep, StepRef, analyze_plan
+from .plans import SqrPlan, SqrStep, StepInfo, StepRef, analyze_plan
 from .registry import get_signature
 from .ring import Ring
 from .types import ColumnMeta, DatetimeValue, ResultSet
@@ -122,10 +122,10 @@ def _stddev(v: str) -> str:
 
 
 class _Compiler:
-    def __init__(self, ring: Ring, plan: SqrPlan):
+    def __init__(self, ring: Ring, plan: SqrPlan, info=None):
         self.ring = ring
         self.plan = plan
-        self.info = analyze_plan(ring, plan)
+        self.info = info or analyze_plan(ring, plan)
         self.ctes: list[tuple[str, str]] = []  # (name, sql)
         self.params: list = []
         self.subplans: list[Subplan] = []
@@ -393,7 +393,7 @@ class _Region:
         if op in _COMPARE:
             return f"({args[0]} {_COMPARE[op]} {args[1]})"
         if op == "not":
-            return f"(NOT {args[0]})"
+            return f"(NOT COALESCE({args[0]}, 0))"
         if op == "contains":
             return f"(instr({args[0]}, {args[1]}) > 0)"
         if op == "divide":
@@ -505,8 +505,11 @@ def _with_terminal_return(plan: SqrPlan) -> SqrPlan:
     return SqrPlan(steps=steps, result=label)
 
 
-def compile_plan(ring: Ring, plan: SqrPlan) -> CompiledQuery:
-    return _Compiler(ring, _with_terminal_return(plan)).compile()
+def compile_plan(ring: Ring, plan: SqrPlan,
+                 info: Optional[dict[str, StepInfo]] = None) -> CompiledQuery:
+    """``info``, when given, is the analysis of ``plan`` to compile with."""
+    full = _with_terminal_return(plan)
+    return _Compiler(ring, full, info if full is plan else None).compile()
 
 
 def connect(db_path: Union[str, Path]) -> sqlite3.Connection:

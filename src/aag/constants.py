@@ -6,6 +6,7 @@ agreement on every plan is the core correctness property of the engine.
 * Standard deviation is the population one (divide by n), not the sample one.
 * The median of an even-length sequence is the mean of the two middle values.
 * Comparisons where either side is NULL/None evaluate to filter-false.
+* ``not`` negates that two-valued result: not of a NULL comparison is true.
 * Aggregations skip NULL/None inputs.
 * get_one returns the first value under ascending sort of the value itself.
 * String aggregation sorts ascending and joins with ``STRING_AGG_SEPARATOR``.

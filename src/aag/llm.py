@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import requests
-
 from .errors import AuthError, GenerationTimeoutError, HttpError, ParseError
 
 ECHO_MARKER = "Facts:\n"
@@ -71,6 +69,7 @@ def _echo(prompt: str) -> str:
 
 
 def _remote(prompt: str, config: GenerationConfig) -> str:
+    import requests  # only this backend needs it, and it is slow to import
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get("AAG_API_KEY")

@@ -62,9 +62,6 @@ class SqrPlan:
     steps: dict[str, SqrStep]
     result: str
 
-    def step(self, label: str) -> SqrStep:
-        return self.steps[label]
-
     def refs(self, label: str) -> list[str]:
         return [a.label for a in self.steps[label].args if isinstance(a, StepRef)]
 

@@ -30,6 +30,7 @@ from .plans import (
     SlotArg,
     SqrPlan,
     SqrStep,
+    StepInfo,
     StepRef,
     analyze_plan,
     ensure_no_dead_steps,
@@ -184,16 +185,34 @@ def _substitute_literals(plan: SqrPlan, values: dict[str, Any]) -> SqrPlan:
 
     steps = {label: SqrStep(label, s.op, tuple(sub(a) for a in s.args))
              for label, s in plan.steps.items()}
-    return SqrPlan(steps=steps, result=plan.result)
+    # nothing bound: keep the object, and with it its analysis
+    return plan if steps == plan.steps else SqrPlan(steps, plan.result)
 
 
-def fill_template(ring, template: PlanTemplate,
-                  bindings: dict[str, Any]) -> SqrPlan:
+class PlanAnalyses:
+    """``analyze_plan`` made once per plan object, for the plans of one
+    report. Each plan is held with its analysis, so its id stays unique."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._by_id: dict[int, tuple[SqrPlan, dict[str, StepInfo]]] = {}
+
+    def __call__(self, plan: SqrPlan) -> dict[str, StepInfo]:
+        if id(plan) not in self._by_id:
+            self._by_id[id(plan)] = plan, analyze_plan(self.ring, plan)
+        return self._by_id[id(plan)][1]
+
+
+def fill_template(ring, template: PlanTemplate, bindings: dict[str, Any],
+                  analyze: Optional[PlanAnalyses] = None) -> SqrPlan:
     """Bind a template's slots and produce a fully composed, typechecked plan.
 
     Plan-valued bindings are deduplicated by identity, so two slots bound to
-    the same plan object share one copy in the composition.
+    the same plan object share one copy in the composition. ``analyze`` holds
+    the analyses of the caller's report: a bound plan is analyzed once in it,
+    and it keeps the analysis of the returned plan.
     """
+    analyze = analyze or PlanAnalyses(ring)
     for name, slot in template.slots.items():
         if slot.required and name not in bindings:
             raise UnboundSlotError(f"slot {name!r} of template "
@@ -236,7 +255,7 @@ def fill_template(ring, template: PlanTemplate,
 
     # check each part's terminal kind before composing, so a mis-bound slot
     # reports as a slot problem rather than a type error deep in the plan
-    part_info = [analyze_plan(ring, p) for p in parts]
+    part_info = [analyze(p) for p in parts]
     for name, idx in wiring.items():
         slot = template.slots[name]
         terminal = part_info[idx][parts[idx].result]
@@ -258,7 +277,7 @@ def fill_template(ring, template: PlanTemplate,
 
     skeleton = _substitute_literals(template.plan, literals)
     composed = compose_plans(skeleton, parts, wiring)
-    analyze_plan(ring, composed)
+    analyze(composed)
     return composed
 
 

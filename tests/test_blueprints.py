@@ -12,7 +12,8 @@ from aag.blueprints import (
 )
 from aag.compiler import run_plan
 from aag.errors import ParseError
-from aag.plans import serialize_plan
+from aag.plans import plan_to_dict, serialize_plan
+from aag.templates import template_to_dict
 
 from conftest import load_fixture_request
 
@@ -114,6 +115,20 @@ def test_instantiation_is_deterministic(ring, templates):
         runs.append("\n".join(
             f"{f.id}\t{serialize_plan(f.plan)}" for f in facts))
     assert len(set(runs)) == 1
+
+
+def test_package_data_is_parsed_once_and_never_mutated(ring):
+    assert builtin_templates() is builtin_templates()
+    assert load_blueprint("ranking") is load_blueprint("ranking")
+    templates = {k: template_to_dict(t)
+                 for k, t in builtin_templates().items()}
+    for name in ("ranking_california", "benchmark_california",
+                 "time_over_time_california"):
+        first, second = (_facts(ring, name, None)[1] for _ in range(2))
+        assert [plan_to_dict(f.plan) for f in first] == \
+            [plan_to_dict(f.plan) for f in second]
+    assert {k: template_to_dict(t)
+            for k, t in builtin_templates().items()} == templates
 
 
 def test_all_facts_render(ring, ring_db, templates):

@@ -1,16 +1,20 @@
 import json
+import os
 import re
 import shutil
 import sqlite3
 import stat
+import subprocess
+import sys
 
 import pytest
 import requests
 from click.testing import CliRunner
 
+from aag import blueprints, compiler, plans, templates
 from aag.cli import main
 
-from conftest import FIXTURES, RING_PATH
+from conftest import FIXTURES, REPO, RING_PATH
 
 PLAN = str(FIXTURES / "plans" / "average_size_by_state_2020.json")
 RANKING = str(FIXTURES / "requests" / "ranking_california.json")
@@ -177,6 +181,60 @@ def test_report_rejects_bad_request(runner, cli_ring_path, tmp_path):
                                   "--request", str(bad)])
     assert result.exit_code == 1
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize("name", ["ranking_california", "benchmark_california",
+                                  "time_over_time_california"])
+def test_report_analyzes_each_plan_once(runner, cli_ring_path, monkeypatch,
+                                        name):
+    calls = []
+    analyze_plan = plans.analyze_plan
+
+    def counted(ring, plan):
+        calls.append(plan)
+        return analyze_plan(ring, plan)
+
+    for module in (plans, templates, compiler):
+        monkeypatch.setattr(module, "analyze_plan", counted)
+    instantiate = blueprints.instantiate
+    facts = []
+
+    def kept(*args):
+        facts.extend(instantiate(*args))
+        return facts
+
+    monkeypatch.setattr(blueprints, "instantiate", kept)
+    request = FIXTURES / "requests" / f"{name}.json"
+    result = _run(runner, "report", "generate", "--ring", str(cli_ring_path),
+                  "--request", str(request), "--mode", "statements")
+    assert result.exit_code == 0
+    # one analysis per fact, plus one per member part the facts share
+    parts = 3 if "period" in json.loads(request.read_text()) else 1
+    assert len(facts) < len(calls) <= len(facts) + parts
+
+
+def test_report_plans_mode_rejects_average_of_year(runner, cli_ring_path,
+                                                   tmp_path):
+    doc = json.loads((FIXTURES / "requests" / "ranking_california.json")
+                     .read_text())
+    doc.update(metric="year", aggregation="average")
+    request = tmp_path / "req.json"
+    request.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["report", "generate",
+                                  "--ring", str(cli_ring_path),
+                                  "--request", str(request),
+                                  "--mode", "plans"])
+    assert result.exit_code == 1
+    assert "error: step V: expected input" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = "import sys, aag.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_report_rejects_unknown_mode(runner, cli_ring_path):

@@ -180,6 +180,9 @@ ORACLE_CASES = {
     "null_comparison_is_false": (_collect(
         "K", "|F|", N=("divide", ["|B|", 0]), F=("less_than", ["|N|", 1]),
         K=("count", ["|B|"])), [(0,)]),
+    "not_of_null_comparison_is_true": (_collect(
+        "K", "|F|", N=("divide", ["|B|", 0]), C=("less_than", ["|N|", 1]),
+        F=("not", ["|C|"]), K=("count", ["|B|"])), [(6,)]),
     "sort_ties_break_on_remaining_columns_ascending": (_collect(
         "B Y", "|S|", S=("sort", ["|Y|", "desc"])),
         [(50.0, 2020), (100.0, 2020), (200.0, 2020),

@@ -24,16 +24,18 @@ from .statements import render_table
 
 def _atomic_write(path: Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or Path(".")),
-                               prefix=f".{path.name}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise AagError(f"cannot write {path}: {e.strerror or e}") from e
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -115,10 +117,10 @@ def plan_run(ring_path: str, plan_path: str, out: str | None, verbose: bool):
         db = r.db_path(Path(ring_path).parent)
         with closing(compiler.connect(db)) as conn:
             result = compiler.execute(compiled, conn)
+        _emit(render_table(result), out)
     except AagError as e:
         click.echo(f"error: {e}", err=True)
         raise SystemExit(1)
-    _emit(render_table(result), out)
 
 
 @main.group()

@@ -11,6 +11,14 @@ roots a region, and a region becomes one statement:
 * an aggregation whose input is itself a grouped aggregation is hoisted into
   a grouping CTE (keys + aggregate) that the outer region reads from.
 
+Eager aggregation (Yan & Larson, VLDB 1995): when a region joins tables,
+every aggregation is decomposable (average as SUM/COUNT, standard deviation
+as SUM(v*v), SUM(v), COUNT(v)) over one fact table T that no key or other
+column reads, and each filter conjunct reads only T or no T column, then T
+becomes T grouped by its join columns into partials (under T's name, with
+the T-only conjuncts) that the outer grouping combines. Rows of one inner
+group join the same rows, so this is exact for any join multiplicity.
+
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
 joins. Every literal is bound once into its statement's parameter list and
@@ -26,13 +34,14 @@ import math
 import sqlite3
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
 from .plans import SqrPlan, SqrStep, StepInfo, StepRef, analyze_plan
-from .registry import get_signature
+from .registry import REGISTRY
 from .ring import Ring
 from .types import ColumnMeta, DatetimeValue, ResultSet
 
@@ -64,8 +73,10 @@ class CompiledQuery:
 class JoinResolution:
     tables: list[str]        # table names, in FROM order
     conditions: list[str]    # "a"."x" = "b"."y" equalities
+    columns: dict[str, list[str]]  # table -> its columns the conditions use
 
 
+@lru_cache(maxsize=4096)
 def _q(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
@@ -75,6 +86,7 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
     first = ring.entity(entities[0])
     tables = [first.primary_table]
     conditions: list[str] = []
+    columns: dict[str, list[str]] = {}
     connected = [entities[0]]
     remaining = list(entities[1:])
     while remaining:
@@ -96,13 +108,16 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
             j = ring.join(join_name)
             lt, lc = j.left.split(".")
             rt, rc = j.right.split(".")
-            for t in (lt, rt):
+            for t, c in ((lt, lc), (rt, rc)):
                 if t not in tables:
                     tables.append(t)
+                if c not in columns.setdefault(t, []):
+                    columns[t].append(c)
             conditions.append(f"{_q(lt)}.{_q(lc)} = {_q(rt)}.{_q(rc)}")
         remaining.remove(b)
         connected.append(b)
-    return JoinResolution(tables=tables, conditions=conditions)
+    return JoinResolution(tables=tables, conditions=conditions,
+                          columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +132,16 @@ _SIMPLE_AGGS = {"average": "AVG({})", "sum": "(SUM({}) * 1.0)",
                 "median": "aag_median({})", "string_agg": "aag_string_agg({})"}
 
 
-def _stddev(v: str) -> str:
-    return f"SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0))"
+_AGGREGATIONS = frozenset(op for op, sig in REGISTRY.items()
+                          if sig.is_aggregation)
+# aggregations the outer grouping can combine from per-join-key partials
+_EAGER_AGGS = {"sum", "count", "min", "max", "get_one", "average",
+               "standard_deviation"}
+
+
+def _stddev(v: str, mean=lambda e: f"AVG({e})") -> str:
+    m = mean(v)
+    return f"SQRT(MAX({mean(f'{v}*{v}')} - {m}*{m}, 0.0))"
 
 
 class _Compiler:
@@ -162,25 +185,31 @@ class _Compiler:
 
     # -- region helpers -------------------------------------------------------
 
-    def _region(self, ret_label: str) -> tuple[set[str], set[str]]:
-        steps: set[str] = set()
+    def _region(self, ret_label: str) -> tuple[dict[str, list[str]], set]:
+        """The region's labels by op, and the upstream returns it reads."""
+        seen: set[str] = set()
+        by_op: dict[str, list[str]] = {}
         upstream: set[str] = set()
         stack = [ret_label]
         while stack:
             label = stack.pop()
-            if label in steps:
+            if label in seen:
                 continue
-            if label != ret_label and self.plan.steps[label].op == "return":
+            seen.add(label)
+            step = self.plan.steps[label]
+            if step.op == "return" and label != ret_label:
                 upstream.add(label)
                 continue
-            steps.add(label)
-            stack.extend(self.plan.refs(label))
-        return steps, upstream
+            by_op.setdefault(step.op, []).append(label)
+            for a in step.args:
+                if isinstance(a, StepRef):
+                    stack.append(a.label)
+        return by_op, upstream
 
     def _is_scalar_mat(self, ret_label: str) -> bool:
         ret = self.info[ret_label]
         return all(
-            get_signature(self.plan.steps[l].op).is_aggregation
+            self.plan.steps[l].op in _AGGREGATIONS
             and self.info[l].grouping_label is None
             for l in ret.collection_labels
         )
@@ -202,7 +231,7 @@ class _Compiler:
     # -- region compilation --------------------------------------------------
 
     def _region_sql(self, ret_label: str) -> str:
-        region, upstream = self._region(ret_label)
+        by_op, upstream = self._region(ret_label)
 
         scalar_mats: dict[str, str] = {}
         row_mats: dict[str, str] = {}
@@ -213,12 +242,9 @@ class _Compiler:
             else:
                 row_mats[up] = table
 
-        entity_labels = sorted(
-            l for l in region
-            if self.plan.steps[l].op == "retrieve_entity")
         # one alias per distinct entity
         entity_names: list[str] = []
-        for l in entity_labels:
+        for l in sorted(by_op.get("retrieve_entity", ())):
             if self.info[l].entity not in entity_names:
                 entity_names.append(self.info[l].entity)
 
@@ -229,36 +255,44 @@ class _Compiler:
             raise UnsupportedPatternError(
                 "region reads more than one multi-row materialization")
 
-        sql = _Region(self, region, ret_label, scalar_mats, row_mats,
+        sql = _Region(self, by_op, ret_label, scalar_mats, row_mats,
                       entity_names).build()
         pieces = [f"{name} AS (\n{cte_sql}\n)" for name, cte_sql in self.ctes]
         return ("WITH " + ",\n".join(pieces) + "\n" if pieces else "") + sql
 
 
 class _Region:
-    def __init__(self, comp: _Compiler, steps: set[str], ret_label: str,
-                 scalar_mats: dict[str, str], row_mats: dict[str, str],
-                 entity_names: list[str]):
+    def __init__(self, comp: _Compiler, by_op: dict[str, list[str]],
+                 ret_label: str, scalar_mats: dict[str, str],
+                 row_mats: dict[str, str], entity_names: list[str]):
         self.c = comp
-        self.steps = steps
+        self.by_op = by_op
         self.ret_label = ret_label
         self.scalar_mats = scalar_mats
         self.row_mats = row_mats
         self.entity_names = entity_names
         self.ret = comp.info[ret_label]
+        self.aggs = [l for l in self.ret.collection_labels
+                     if comp.plan.steps[l].op in _AGGREGATIONS]
         # label -> (alias, column) overrides installed by hoisted CTEs
         self.column_of: dict[str, tuple[str, str]] = {}
         self.row_alias: Optional[str] = None
         self.from_sql = ""
         self.where_sql = ""
+        # eager aggregation: the fact table grouped by its join columns
+        self.fact: Optional[str] = None
+        self.conjuncts: list[tuple[str, bool]] = []  # (filter, reads fact)
+        self.fact_where: list[str] = []
+        self.partials: dict[str, str] = {}  # inner aggregate -> column
 
     # -- FROM / WHERE -----------------------------------------------------------
 
     def _build_from(self) -> None:
         if self.entity_names:
-            res = resolve_joins(self.c.ring, self.entity_names)
+            res = self.joins = resolve_joins(self.c.ring, self.entity_names)
             self.from_sql = "FROM " + ", ".join(_q(t) for t in res.tables)
             self._join_conditions = list(res.conditions)
+            self.fact = self._eager_fact()
         elif self.row_mats:
             self.row_alias = next(iter(self.row_mats.values()))
             self.from_sql = f"FROM {self.row_alias}"
@@ -269,7 +303,10 @@ class _Region:
 
     def _build_where(self) -> None:
         parts = list(self._join_conditions)
-        if self.ret.filter_label:
+        if self.fact:
+            for l, inner in self.conjuncts:
+                (self.fact_where if inner else parts).append(self.expr(l))
+        elif self.ret.filter_label:
             parts.append(self.expr(self.ret.filter_label))
         self.where_sql = ("WHERE " + " AND ".join(parts)) if parts else ""
 
@@ -281,12 +318,92 @@ class _Region:
             raise UnsupportedPatternError(f"{what} must be columns")
         return sql
 
+    # -- eager aggregation ------------------------------------------------------
+
+    def _reads(self, label: str) -> set[str]:
+        """The tables an expression reads; "" marks an aggregation in it."""
+        si = self.c.info[label]
+        if si.attribute is not None:
+            return {self.c.ring.attribute(*si.attribute).source[0]}
+        if si.entity is not None:
+            return {self.c.ring.entity(si.entity).primary_table}
+        if si.source_return is not None:
+            return set()
+        if self.c.plan.steps[label].op in _AGGREGATIONS:
+            return {""}
+        read: set[str] = set()
+        for ref in self.c.plan.refs(label):
+            read |= self._reads(ref)
+        return read
+
+    def _conjuncts(self, label: Optional[str]) -> list[str]:
+        if label is None:
+            return []
+        step = self.c.plan.steps[label]
+        if step.op == "and" and all(isinstance(a, StepRef) for a in step.args):
+            return [c for a in step.args for c in self._conjuncts(a.label)]
+        return [label]
+
+    def _eager_fact(self) -> Optional[str]:
+        """The one table every aggregation reads, when it can be grouped by
+        its join columns before the join; None keeps one grouping level."""
+        if len(self.joins.tables) < 2:
+            return None
+        read: set[str] = set()
+        for l in self.aggs:
+            if self.c.plan.steps[l].op not in _EAGER_AGGS:
+                return None
+            read |= self._reads(self.c.info[l].value_label)
+        if len(read) != 1 or "" in read:
+            return None
+        fact = read.pop()
+        for l in self.ret.collection_labels:
+            if l not in self.aggs and self._reads(l) & {fact, ""}:
+                return None
+        for l in self._conjuncts(self.ret.filter_label):
+            r = self._reads(l)
+            if "" in r or (fact in r and len(r) > 1):
+                return None
+            self.conjuncts.append((l, fact in r))
+        return fact
+
+    def _combine(self, op: str, v: str) -> str:
+        """``op(v)`` over the join, from the fact table's partials."""
+        def p(agg: str, e: str = v) -> str:  # the column holding agg(e)
+            col = self.partials.setdefault(f"{agg}({e})",
+                                           f'"aag_p{len(self.partials) + 1}"')
+            return f"{_q(self.fact)}.{col}"
+        if op in ("min", "max", "get_one"):
+            f = "MAX" if op == "max" else "MIN"
+            return f"{f}({p(f)})"
+        if op == "sum":
+            return f"(SUM({p('SUM')}) * 1.0)"
+        n = p("COUNT")
+        if op == "count":
+            return f"COALESCE(SUM({n}), 0)"
+        mean = lambda e: f"(CAST(SUM({p('SUM', e)}) AS REAL) / SUM({n}))"
+        return mean(v) if op == "average" else _stddev(v, mean)
+
+    def _eager_from(self) -> str:
+        """FROM with the fact table grouped by its join columns, under its
+        own name, so join conditions and outer clauses stay as they are."""
+        fact = _q(self.fact)
+        keys = {f"{fact}.{_q(c)}": _q(c)
+                for c in self.joins.columns[self.fact]}
+        cols = ", ".join(f"{e} AS {c}" for e, c in
+                         [*keys.items(), *self.partials.items()])
+        where = " AND ".join(self.fact_where)
+        derived = (f"(SELECT {cols}\nFROM {fact}"
+                   + (f"\nWHERE {where}" if where else "")
+                   + f"\nGROUP BY {', '.join(keys)}) AS {fact}")
+        return "FROM " + ", ".join(derived if t == self.fact else _q(t)
+                                   for t in self.joins.tables)
+
     # -- hoisted CTEs -------------------------------------------------------------
 
     def _hoist_windows(self) -> None:
         """Move window ranks into their own CTE over the row source."""
-        ranks = [l for l in self.steps
-                 if self.c.plan.steps[l].op == "row_number"]
+        ranks = self.by_op.get("row_number")
         if not ranks:
             return
         if self.row_alias is None:
@@ -321,14 +438,14 @@ class _Region:
     def _hoist_nested_groups(self) -> None:
         """Aggregations over grouped aggregations read from a grouping CTE."""
         nested = []
-        for l in self.steps:
-            step = self.c.plan.steps[l]
-            if not get_signature(step.op).is_aggregation:
+        for op, labels in self.by_op.items():
+            if op not in _AGGREGATIONS:
                 continue
-            inner = self.c.info[l].value_label
-            if inner and inner in self.steps and \
-                    get_signature(self.c.plan.steps[inner].op).is_aggregation:
-                nested.append((l, inner))
+            for l in labels:
+                inner = self.c.info[l].value_label
+                # an aggregation's input is in its region unless a return
+                if inner and self.c.plan.steps[inner].op in _AGGREGATIONS:
+                    nested.append((l, inner))
         if not nested:
             return
         inner_labels = {inner for _, inner in nested}
@@ -383,7 +500,7 @@ class _Region:
                 return f"(SELECT {_q(si.source_column)} FROM {table})"
             return f"{_q(si.source_column)}"
 
-        if get_signature(op).is_aggregation:
+        if op in _AGGREGATIONS:
             return self._agg_expr(label)
 
         args = [self.expr(a.label) if isinstance(a, StepRef) else self.c.bind(a)
@@ -426,6 +543,8 @@ class _Region:
             return (f"(CASE WHEN COUNT({x}) < 2 THEN NULL ELSE "
                     f"{cov} / NULLIF({_stddev(x)} * {_stddev(y)}, 0.0) END)")
         v = self.expr(self.c.info[label].value_label)
+        if self.fact:
+            return self._combine(op, v)
         if op == "standard_deviation":
             return _stddev(v)
         if op in _SIMPLE_AGGS:
@@ -441,9 +560,7 @@ class _Region:
         self._hoist_nested_groups()
 
         ret = self.ret
-        agg_labels = [l for l in ret.collection_labels
-                      if get_signature(self.c.plan.steps[l].op).is_aggregation
-                      and l not in self.column_of]
+        agg_labels = [l for l in self.aggs if l not in self.column_of]
         grouped = [l for l in agg_labels
                    if self.c.info[l].grouping_label is not None]
 
@@ -455,6 +572,8 @@ class _Region:
             if agg_labels and label not in agg_labels:
                 group_exprs.append(sql)
 
+        if self.fact:
+            self.from_sql = self._eager_from()
         sql_lines = [f"SELECT {', '.join(select_parts)}", self.from_sql,
                      self.where_sql]
         if grouped and group_exprs:

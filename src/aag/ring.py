@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -70,10 +71,12 @@ class EntityDef:
     attributes: tuple[AttributeDef, ...]
 
     def attribute(self, name: str) -> Optional[AttributeDef]:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        return None
+        return self._attributes.get(name)
+
+    @cached_property
+    def _attributes(self) -> dict[str, AttributeDef]:
+        # the first of duplicate names wins, as validation reports them
+        return {a.name: a for a in reversed(self.attributes)}
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,11 @@ class Ring:
         return next((j for j in self.joins if j.name == name), None)
 
     def entity(self, name: str) -> Optional[EntityDef]:
-        return next((e for e in self.entities if e.name == name), None)
+        return self._entities.get(name)
+
+    @cached_property
+    def _entities(self) -> dict[str, EntityDef]:
+        return {e.name: e for e in reversed(self.entities)}
 
     def attribute(self, entity: str, attr: str) -> Optional[AttributeDef]:
         e = self.entity(entity)

@@ -173,6 +173,29 @@ def test_report_out_writes_atomically_with_sidecar(runner, cli_ring_path,
         ["report.txt", "report.txt.facts"]
 
 
+@pytest.mark.parametrize("command", [
+    ["plan", "run", "--plan", PLAN],
+    ["report", "generate", "--request", RANKING],
+], ids=["plan_run", "report_generate"])
+@pytest.mark.parametrize("where", ["missing_directory", "failed_rename"])
+def test_out_write_failure_exits_1_and_leaves_no_file(
+        runner, cli_ring_path, tmp_path, monkeypatch, command, where):
+    out = tmp_path / "missing" / "x.txt"
+    if where == "failed_rename":
+        out = tmp_path / "x.txt"
+
+        def fail(src, dst):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(os, "replace", fail)
+    result = runner.invoke(main, [*command, "--ring", str(cli_ring_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: cannot write {out}: " in result.output
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_rejects_bad_request(runner, cli_ring_path, tmp_path):
     bad = tmp_path / "req.json"
     bad.write_text(json.dumps({"version": "report_request_v1"}))

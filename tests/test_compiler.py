@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import sqlite3
 from contextlib import closing
@@ -15,8 +16,9 @@ from aag.blueprints import (
 )
 from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import DbError, NoRelationshipError
-from aag.oracle import oracle_eval
+from aag.oracle import MemoryDataset, oracle_eval
 from aag.plans import plan_from_dict
+from aag.registry import DERIVATION_AGGREGATIONS
 from aag.templates import fill_template
 
 from conftest import load_fixture_plan, load_fixture_request
@@ -349,3 +351,140 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
             pytest.raises(DbError, match="no such table") as err:
         execute(compiled, conn)
     assert err.value.sql.startswith(f"CREATE TEMP TABLE IF NOT EXISTS {name}")
+
+
+# ---------------------------------------------------------------------------
+# eager aggregation: the fact table grouped by its join key before the join
+
+_PREAGGREGATED = 'GROUP BY "wildfires"."state_id") AS "wildfires"'
+_FIXTURE_REQUESTS = ("ranking_california", "benchmark_california",
+                     "time_over_time_california")
+
+
+@pytest.fixture(scope="module")
+def nullable_db(tmp_path_factory):
+    """A seeded database with NULLs, its oracle dataset beside it: two
+    states share a name, Utah has no fires, Idaho's fires have no size, and
+    some other fires have no size or no state."""
+    rng = random.Random(3)
+    states = [(1, "California"), (2, "Nevada"), (3, "Oregon"),
+              (4, "Nevada"), (5, "Utah"), (6, "Idaho")]
+    fires = [(i, rng.choice([1, 1, 2, 3, 4, None]),
+              None if rng.random() < 0.15 else round(rng.uniform(0, 500), 1),
+              rng.choice([2018, 2019, 2020])) for i in range(1, 121)]
+    fires += [(121, 6, None, 2019), (122, 6, None, 2020)]
+    path = tmp_path_factory.mktemp("nullable") / "wildfire.db"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(
+            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);"
+            "CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
+            "INTEGER, size_acres REAL, year INTEGER);")
+        conn.executemany("INSERT INTO states VALUES (?, ?)", states)
+        conn.executemany("INSERT INTO wildfires VALUES (?, ?, ?, ?)", fires)
+        conn.commit()
+    dataset = MemoryDataset(tables={
+        "states": [dict(zip(("id", "name"), r)) for r in states],
+        "wildfires": [dict(zip(("id", "state_id", "size_acres", "year"), r))
+                      for r in fires]})
+    return path, dataset
+
+
+def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
+    db, dataset = nullable_db
+    forms = []
+    for name in _FIXTURE_REQUESTS:
+        doc = json.loads(load_fixture_request(name))
+        for aggregation in DERIVATION_AGGREGATIONS:
+            for filters in ([], [{"attribute": "size",
+                                  "op": "greater_than", "value": 100}]):
+                request = parse_request(dict(doc, aggregation=aggregation,
+                                             filters=filters))
+                for fact in instantiate(ring, load_blueprint(request.report),
+                                        request):
+                    assert_matches_oracle(ring, db, dataset, fact.plan)
+                    forms.append(any(
+                        _PREAGGREGATED in sql for _, sql, _ in
+                        compile_plan(ring, fact.plan).materializations))
+    assert len(forms) == 8 * 2 * 22 and any(forms) and not all(forms)
+
+
+@pytest.mark.parametrize("state", ["Utah", "Idaho", "Nevada"])
+def test_preaggregation_of_one_state_matches_oracle(ring, nullable_db,
+                                                    state):
+    db, dataset = nullable_db
+    for aggregation in DERIVATION_AGGREGATIONS:
+        plan = _steps({
+            "C": {"op": "retrieve_entity", "args": ["State"]},
+            "D": {"op": "retrieve_attribute", "args": ["|C|", "name"]},
+            "F": {"op": "exact", "args": ["|D|", state]},
+            "V": {"op": aggregation, "args": ["|B|"]},
+            "R": {"op": "return", "args": ["|V|", "|F|"]},
+        }, "R")
+        assert_matches_oracle(ring, db, dataset, plan)
+
+
+def _members_sql(ring, aggregation, filters=None):
+    doc = json.loads(load_fixture_request("ranking_california"))
+    request = parse_request(dict(doc, aggregation=aggregation))
+    return compile_plan(ring, build_member_plan(ring, request, filters)).sql
+
+
+@pytest.mark.parametrize("aggregation", [
+    "average", "count", "max", "min", "standard_deviation", "sum"])
+def test_decomposable_members_are_preaggregated(ring, aggregation):
+    sql = _members_sql(ring, aggregation, [
+        {"attribute": "year", "op": "exact", "value": 2020}])
+    assert sql.count(_PREAGGREGATED) == 1
+    # the fact-only filter moves inside; the join condition stays outside
+    assert '("wildfires"."year" = ?1)\nGROUP BY' in sql
+    assert 'AS "wildfires", "states"\nWHERE "wildfires"."state_id" = ' \
+        '"states"."id"\nGROUP BY "states"."name"' in sql
+
+
+def _by_state(op, *args, **filter_steps):
+    """``op`` over fires per state name, or over the fires of Nevada when
+    ``op`` takes no grouping; ``filter_steps`` end in the filter ``F``."""
+    steps = {
+        "Y": {"op": "retrieve_attribute", "args": ["|A|", "year"]},
+        "C": {"op": "retrieve_entity", "args": ["State"]},
+        "D": {"op": "retrieve_attribute", "args": ["|C|", "name"]},
+        "G": {"op": "groupby", "args": ["|D|"]},
+        "V": {"op": op, "args": [*args, "|G|"]},
+        "L": {"op": "collect", "args": ["|D|", "|V|"]},
+        "R": {"op": "return", "args": ["|L|"]},
+        **filter_steps,
+    }
+    if op == "correlation":  # the oracle correlates ungrouped inputs only
+        steps["V"]["args"].pop()
+        steps["L"]["args"] = ["|V|"]
+        steps["F"] = {"op": "exact", "args": ["|D|", "Nevada"]}
+    if "F" in steps:
+        steps["R"]["args"].append("|F|")
+    return _steps(steps, "R")
+
+
+def test_get_one_is_preaggregated(ring_db, dataset):
+    ring, db = ring_db
+    plan = _by_state("get_one", "|B|")
+    assert _PREAGGREGATED in compile_plan(ring, plan).sql
+    assert_matches_oracle(ring, db, dataset, plan)
+
+
+@pytest.mark.parametrize("op, args, filter_steps", [
+    ("count_unique", ["|B|"], {}),
+    ("median", ["|B|"], {}),
+    ("string_agg", ["|B|"], {}),
+    ("correlation", ["|B|", "|Y|"], {}),
+    ("sum", ["|B|"], {  # one conjunct reads both tables
+        "F1": {"op": "exact", "args": ["|Y|", 2019]},
+        "F2": {"op": "exact", "args": ["|D|", "Nevada"]},
+        "F": {"op": "or", "args": ["|F1|", "|F2|"]}}),
+], ids=["count_unique", "median", "string_agg", "correlation",
+        "mixed_conjunct"])
+def test_other_regions_keep_one_grouping_level(ring_db, dataset, op, args,
+                                               filter_steps):
+    ring, db = ring_db
+    plan = _by_state(op, *args, **filter_steps)
+    sql = compile_plan(ring, plan).sql
+    assert 'FROM "wildfires", "states"' in sql and "aag_p" not in sql
+    assert_matches_oracle(ring, db, dataset, plan)

@@ -73,18 +73,13 @@ def ring():
 def ring_validate(ring_path: str, verbose: bool):
     """Validate a ring document; exit 1 if it has violations."""
     try:
-        r = load_ring(ring_path)
-        violations = validate_ring(r)
+        r = _load_ring_checked(ring_path)
     except AagError as e:
         click.echo(f"error: {e}", err=True)
         raise SystemExit(1)
-    if violations:
-        for v in violations:
-            click.echo(str(v), err=True)
-        raise SystemExit(1)
     click.echo(f"ok: ring {r.name!r} is valid")
     if verbose:
-        for e in derive_attributes(r).entities:
+        for e in r.entities:
             click.echo(f"  {e.name} ({e.primary_table})")
             for a in e.attributes:
                 kinds = ", ".join(sorted(t.value for t in a.types))

@@ -40,7 +40,7 @@ from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
-from .plans import SqrPlan, SqrStep, StepInfo, StepRef, analyze_plan
+from .plans import SqrPlan, StepInfo, StepRef, analyze_plan
 from .registry import REGISTRY
 from .ring import Ring
 from .types import ColumnMeta, DatetimeValue, ResultSet
@@ -50,7 +50,6 @@ from .types import ColumnMeta, DatetimeValue, ResultSet
 class Subplan:
     name: str          # m_<hash>, CTE name (sp1, ...) or "main"
     kind: str          # "materialization" | "window" | "group" | "terminal"
-    return_label: Optional[str] = None
 
 
 @dataclass
@@ -176,8 +175,7 @@ class _Compiler:
             raise UnsupportedPatternError(
                 "plan must terminate in a materialization")
         sql = self._region_sql(terminal)
-        self.subplans.append(Subplan(name="main", kind="terminal",
-                                     return_label=terminal))
+        self.subplans.append(Subplan(name="main", kind="terminal"))
         columns = [c for _, c in self.info[terminal].columns]
         return CompiledQuery(sql=sql, params=self.params,
                              output_columns=columns, subplans=self.subplans,
@@ -225,7 +223,7 @@ class _Compiler:
             key = repr((sql, params)).encode()
             name = "m_" + hashlib.sha1(key).hexdigest()[:16]
             self._mats[ret_label] = (name, sql, params)
-            self.subplans.append(Subplan(name, "materialization", ret_label))
+            self.subplans.append(Subplan(name, "materialization"))
         return self._mats[ret_label][0]
 
     # -- region compilation --------------------------------------------------
@@ -325,8 +323,6 @@ class _Region:
         si = self.c.info[label]
         if si.attribute is not None:
             return {self.c.ring.attribute(*si.attribute).source[0]}
-        if si.entity is not None:
-            return {self.c.ring.entity(si.entity).primary_table}
         if si.source_return is not None:
             return set()
         if self.c.plan.steps[label].op in _AGGREGATIONS:
@@ -486,11 +482,6 @@ class _Region:
         si = self.c.info[label]
         op = step.op
 
-        if op == "retrieve_entity":
-            e = self.c.ring.entity(si.entity)
-            pk = self.c.ring.table(e.primary_table).primary_key
-            return f"{_q(e.primary_table)}.{_q(pk)}"
-
         if op == "retrieve_attribute":
             if si.attribute is not None:
                 table, column = self.c.ring.attribute(*si.attribute).source
@@ -613,22 +604,10 @@ class _Region:
 # public entry points
 
 
-def _with_terminal_return(plan: SqrPlan) -> SqrPlan:
-    if plan.steps[plan.result].op == "return":
-        return plan
-    label = "_R"
-    while label in plan.steps:
-        label += "_"
-    steps = dict(plan.steps)
-    steps[label] = SqrStep(label, "return", (StepRef(plan.result),))
-    return SqrPlan(steps=steps, result=label)
-
-
 def compile_plan(ring: Ring, plan: SqrPlan,
                  info: Optional[dict[str, StepInfo]] = None) -> CompiledQuery:
     """``info``, when given, is the analysis of ``plan`` to compile with."""
-    full = _with_terminal_return(plan)
-    return _Compiler(ring, full, info if full is plan else None).compile()
+    return _Compiler(ring, plan, info).compile()
 
 
 def connect(db_path: Union[str, Path]) -> sqlite3.Connection:

@@ -25,16 +25,6 @@ class Violation:
         return f"{self.code} at {self.path}: {self.message}"
 
 
-class ValidationError(AagError):
-    """A document parsed but violates invariants."""
-
-    def __init__(self, violations, message: str | None = None):
-        if isinstance(violations, str):
-            violations = [Violation("Invalid", "", violations)]
-        self.violations = list(violations)
-        super().__init__(message or "; ".join(str(v) for v in self.violations))
-
-
 class PlanTypeError(AagError):
     """A plan step's inputs do not satisfy the operation signature."""
 

@@ -250,17 +250,9 @@ class _Evaluator:
 
     def _rows_match(self, row_a: dict, ent_a: str, row_b: dict, ent_b: str,
                     rel) -> bool:
-        table_rows = {self.ring.entity(ent_a).primary_table: row_a,
-                      self.ring.entity(ent_b).primary_table: row_b}
-
-        def lookup(ref: str):
-            table, column = ref.split(".")
-            if table in table_rows:
-                return ("bound", table_rows[table][column])
-            return ("free", (table, column))
-
         # walk every join on the path; intermediate tables are scanned
-        bound = dict(table_rows)
+        bound = {self.ring.entity(ent_a).primary_table: row_a,
+                 self.ring.entity(ent_b).primary_table: row_b}
         for join_name in rel.join_path:
             j = self.ring.join(join_name)
             lt, lc = j.left.split(".")
@@ -290,14 +282,6 @@ class _Evaluator:
     def _row_value(self, label: str, env: dict, scalars: dict):
         step = self.plan.steps[label]
         si = self.info[label]
-        if label in env:
-            return env[label]
-        if label in scalars:
-            return scalars[label]
-        if step.op == "retrieve_entity":
-            pk = self.ring.table(
-                self.ring.entity(si.entity).primary_table).primary_key
-            return env[label][pk] if label in env else None
         if step.op == "retrieve_attribute":
             if si.attribute is not None:
                 src_label = step.args[0].label
@@ -382,12 +366,12 @@ class _Evaluator:
 
         if agg_labels:
             rows = self._eval_aggregated(ret, key_labels, agg_labels,
-                                         indexed, scalars, value)
+                                         indexed, value)
         else:
             rows = [tuple(value(l, env, i) for l in ret.collection_labels)
                     for i, env in indexed]
 
-        rows = self._order_and_limit(ret, rows, scalars)
+        rows = self._order_and_limit(ret, rows)
         return ResultSet(columns=[c for _, c in ret.columns], rows=rows)
 
     def _is_agg(self, label: str) -> bool:
@@ -395,7 +379,7 @@ class _Evaluator:
 
         return get_signature(self.plan.steps[label].op).is_aggregation
 
-    def _agg_inputs(self, label: str, indexed, scalars, value):
+    def _agg_inputs(self, label: str, indexed, value):
         step = self.plan.steps[label]
         si = self.info[label]
         inner = si.value_label
@@ -416,7 +400,7 @@ class _Evaluator:
         return [value(inner, env, i) for i, env in indexed]
 
     def _eval_aggregated(self, ret, key_labels, agg_labels, indexed,
-                         scalars, value) -> list[tuple]:
+                         value) -> list[tuple]:
         grouped = [l for l in agg_labels
                    if self.info[l].grouping_label is not None]
         if grouped:
@@ -455,30 +439,25 @@ class _Evaluator:
                     out.append(_correlation(xs, ys))
                 else:
                     out.append(_agg(step.op,
-                                    self._agg_inputs(label, indexed,
-                                                     scalars, value)))
+                                    self._agg_inputs(label, indexed, value)))
             else:
                 raise UnsupportedPatternError(
                     "per-row column collected alongside an ungrouped "
                     "aggregation")
         return [tuple(out)]
 
-    def _order_and_limit(self, ret, rows, scalars) -> list[tuple]:
+    def _order_and_limit(self, ret, rows) -> list[tuple]:
         col_labels = list(ret.collection_labels)
         if ret.sort_label:
             s = self.info[ret.sort_label]
             key_idx = [col_labels.index(k) for k in s.key_labels
                        if k in col_labels]
             rest = [i for i in range(len(col_labels)) if i not in key_idx]
-            reverse = s.direction == "desc"
-
-            def sort_key(row):
-                primary = tuple(_sort_key(row[i]) for i in key_idx)
-                return primary
-
             rows = sorted(rows, key=lambda r: tuple(_sort_key(r[i])
                                                     for i in rest))
-            rows = sorted(rows, key=sort_key, reverse=reverse)
+            rows = sorted(rows, key=lambda r: tuple(_sort_key(r[i])
+                                                    for i in key_idx),
+                          reverse=s.direction == "desc")
         else:
             rows = sorted(rows, key=lambda r: tuple(_sort_key(v) for v in r))
         if ret.limit_label:

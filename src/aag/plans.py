@@ -14,8 +14,7 @@ datetimes), or -- in templates only -- slot placeholders (``"{name}"``).
 
 ``analyze_plan`` infers, for every step, its output kind set plus the
 presentation metadata (output name, nicename, units) and, for materialization
-steps, the column schema. ``typecheck_plan`` is the kind-set view of the same
-analysis.
+steps, the column schema.
 """
 
 from __future__ import annotations
@@ -125,6 +124,8 @@ def plan_from_dict(doc: dict, allow_slots: bool = False) -> SqrPlan:
 
 
 def parse_plan(doc: Union[str, dict]) -> SqrPlan:
+    """Parse a plan document, adding a terminal ``return`` of its result
+    when the result is not one."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -132,7 +133,14 @@ def parse_plan(doc: Union[str, dict]) -> SqrPlan:
             raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("plan document must be a JSON object")
-    return plan_from_dict(doc)
+    plan = plan_from_dict(doc)
+    if plan.steps[plan.result].op != "return":
+        label = "_R"
+        while label in plan.steps:
+            label += "_"
+        plan.steps[label] = SqrStep(label, "return", (StepRef(plan.result),))
+        plan.result = label
+    return plan
 
 
 def load_plan(path: Union[str, Path]) -> SqrPlan:
@@ -148,10 +156,6 @@ def plan_to_dict(plan: SqrPlan) -> dict:
         },
         "result": plan.result,
     }
-
-
-def serialize_plan(plan: SqrPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def toposort(plan: SqrPlan) -> list[str]:
     order: list[str] = []
     state: dict[str, int] = {}
 
-    def visit(label: str, stack: tuple[str, ...]):
+    def visit(label: str):
         s = state.get(label, 0)
         if s == 2:
             return
@@ -205,12 +209,12 @@ def toposort(plan: SqrPlan) -> list[str]:
             raise CycleError(f"cycle through step {label!r}")
         state[label] = 1
         for ref in plan.refs(label):
-            visit(ref, stack + (label,))
+            visit(ref)
         state[label] = 2
         order.append(label)
 
     for label in plan.steps:
-        visit(label, ())
+        visit(label)
     return order
 
 
@@ -229,10 +233,6 @@ def reachable_from_result(plan: SqrPlan) -> set[str]:
 def _same_or_none(values: list) -> Any:
     distinct = {v for v in values if v is not None}
     return distinct.pop() if len(distinct) == 1 else None
-
-
-_UNIT_KEEPING_AGGS = {"average", "max", "median", "min", "sum", "get_one",
-                      "standard_deviation"}
 
 
 def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
@@ -297,7 +297,8 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
             grouping = next((r for r, si in zip(refs, _ref_assignment(step, assignment))
                              if si == 1), None)
             base = info[value_refs[0].label]
-            units = base.units if step.op in _UNIT_KEEPING_AGGS else None
+            units = (base.units if step.op in registry.UNIT_KEEPING_AGGREGATIONS
+                     else None)
             info[label] = StepInfo(
                 types=sig.output,
                 name=f"{sig.nicename} {base.name}",
@@ -417,11 +418,6 @@ def _analyze_return(plan: SqrPlan, info: dict[str, StepInfo], step: SqrStep,
         limit_label=roles.get(3),
         columns=columns,
     )
-
-
-def typecheck_plan(ring, plan: SqrPlan) -> dict[str, TypeSet]:
-    """Kind-set view of plan analysis: label -> inferred output kinds."""
-    return {label: si.types for label, si in analyze_plan(ring, plan).items()}
 
 
 def ensure_no_dead_steps(plan: SqrPlan) -> None:

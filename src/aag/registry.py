@@ -2,8 +2,7 @@
 
 Signatures are data, not code: each row lists input slots (arity range plus
 the attribute kinds accepted) and the fixed output kind set. The registry is
-closed but extensible -- new operations may be registered, existing rows are
-never mutated.
+closed, and its rows are never mutated.
 """
 
 from __future__ import annotations
@@ -154,19 +153,17 @@ DERIVATION_AGGREGATIONS = (
     "sum",
 )
 
+# Aggregations whose result is in the units of their input.
+UNIT_KEEPING_AGGREGATIONS = frozenset({
+    "average", "get_one", "max", "median", "min", "standard_deviation", "sum",
+})
+
 
 def get_signature(name: str) -> OperationSignature:
     try:
         return REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown operation {name!r}") from None
-
-
-def register(signature: OperationSignature) -> None:
-    """Add a new operation row. Existing rows cannot be replaced."""
-    if signature.name in REGISTRY:
-        raise ValueError(f"operation {signature.name!r} is already registered")
-    REGISTRY[signature.name] = signature
 
 
 def match_args(sig: OperationSignature, label: str,

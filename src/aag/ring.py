@@ -31,8 +31,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import registry
-from .errors import ParseError, ValidationError, Violation
-from .plans import SqrPlan, SqrStep, StepRef
+from .errors import ParseError, Violation
 from .types import AttributeType, TypeSet
 
 RING_FORMAT_VERSION = "ring_schema_v1"
@@ -223,45 +222,6 @@ def load_ring(path: Union[str, Path]) -> Ring:
     return ring_from_dict(doc)
 
 
-def ring_to_dict(ring: Ring) -> dict:
-    def attr_doc(a: AttributeDef) -> dict:
-        d: dict = {"name": a.name, "nicename": a.nicename,
-                   "types": sorted(t.value for t in a.types)}
-        if a.units:
-            d["units"] = list(a.units)
-        if a.source:
-            d["source"] = list(a.source)
-        if a.derived:
-            d["derived"] = True
-            d["base_attribute"] = a.base_attribute
-            d["derivation"] = a.derivation
-        return d
-
-    return {
-        "version": RING_FORMAT_VERSION,
-        "name": ring.name,
-        "db": ring.db,
-        "tables": [{"name": t.name, "primary_key": t.primary_key}
-                   for t in ring.tables],
-        "joins": [{"name": j.name, "left": j.left, "right": j.right}
-                  for j in ring.joins],
-        "entities": [
-            {
-                "name": e.name,
-                "nicename": list(e.nicename),
-                "primary_table": e.primary_table,
-                "attributes": [attr_doc(a) for a in e.attributes],
-            }
-            for e in ring.entities
-        ],
-        "relationships": [
-            {"name": r.name, "from": r.frm, "to": r.to,
-             "join_path": list(r.join_path)}
-            for r in ring.relationships
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -373,15 +333,8 @@ def validate_ring(ring: Ring) -> list[Violation]:
     return out
 
 
-def check_ring(ring: Ring) -> Ring:
-    violations = validate_ring(ring)
-    if violations:
-        raise ValidationError(violations)
-    return ring
-
-
 # ---------------------------------------------------------------------------
-# derived attributes & access plans
+# derived attributes
 
 
 def derive_attributes(ring: Ring) -> Ring:
@@ -411,10 +364,8 @@ def derive_attributes(ring: Ring) -> Ring:
                 if name in existing:
                     continue
                 existing.add(name)
-                units = a.units if op in ("average", "max", "median", "min",
-                                          "sum", "standard_deviation") else None
-                if op in ("count", "count_unique"):
-                    units = None
+                units = (a.units if op in registry.UNIT_KEEPING_AGGREGATIONS
+                         else None)
                 added.append(AttributeDef(
                     name=name, types=sig.output, nicename=name, source=None,
                     units=units, derived=True, base_attribute=a.name,
@@ -422,29 +373,3 @@ def derive_attributes(ring: Ring) -> Ring:
                 ))
         new_entities.append(replace(e, attributes=e.attributes + tuple(added)))
     return replace(ring, entities=tuple(new_entities))
-
-
-def build_access_plan(ring: Ring, entity: str, attribute: str) -> SqrPlan:
-    """Smallest plan that yields the given attribute for every entity instance.
-
-    For derived attributes the base attribute is wrapped in its deriving
-    aggregation.
-    """
-    e = ring.entity(entity)
-    if e is None:
-        raise ParseError(f"unknown entity {entity!r}")
-    a = e.attribute(attribute)
-    if a is None:
-        raise ParseError(f"entity {entity!r} has no attribute {attribute!r}")
-    steps: dict[str, SqrStep] = {
-        "A": SqrStep("A", "retrieve_entity", (entity,)),
-    }
-    if a.derived:
-        steps["B"] = SqrStep("B", "retrieve_attribute",
-                             (StepRef("A"), a.base_attribute))
-        steps["C"] = SqrStep("C", a.derivation, (StepRef("B"),))
-        steps["D"] = SqrStep("D", "return", (StepRef("C"),))
-        return SqrPlan(steps=steps, result="D")
-    steps["B"] = SqrStep("B", "retrieve_attribute", (StepRef("A"), attribute))
-    steps["C"] = SqrStep("C", "return", (StepRef("B"),))
-    return SqrPlan(steps=steps, result="C")

@@ -17,8 +17,6 @@ from .errors import EmptyFactsError, MissingColumnError, ParseError, \
     UnexpectedRowCountError
 from .types import ColumnMeta, DatetimeValue, ResultSet
 
-STATEMENT_FORMAT_VERSION = "statement_template_v1"
-
 
 # ---------------------------------------------------------------------------
 # value formatting
@@ -120,29 +118,6 @@ def statement_template_from_dict(doc: dict) -> StatementTemplate:
                 for name, b in doc.get("bindings", {}).items()}
     return StatementTemplate(template=doc["template"], bindings=bindings,
                              null_statement=doc.get("null_statement"))
-
-
-def statement_template_to_dict(t: StatementTemplate) -> dict:
-    bindings = {}
-    for name, b in t.bindings.items():
-        d: dict = {}
-        if b.column is not None:
-            d["column"] = b.column
-        if b.literal is not None:
-            d["literal"] = b.literal
-        if b.input is not None:
-            d["input"] = b.input
-        if b.word_map is not None:
-            d["map"] = b.word_map
-        if b.as_list:
-            d["list"] = True
-        if b.bare:
-            d["bare"] = True
-        bindings[name] = d
-    doc: dict = {"template": t.template, "bindings": bindings}
-    if t.null_statement is not None:
-        doc["null_statement"] = t.null_statement
-    return doc
 
 
 def join_phrase(items: list[str]) -> str:

@@ -279,29 +279,3 @@ def fill_template(ring, template: PlanTemplate, bindings: dict[str, Any],
     composed = compose_plans(skeleton, parts, wiring)
     analyze(composed)
     return composed
-
-
-def template_to_dict(template: PlanTemplate) -> dict:
-    from .statements import statement_template_to_dict
-
-    doc: dict = {
-        "version": TEMPLATE_FORMAT_VERSION,
-        "id": template.id,
-        "description": template.description,
-        "slots": {},
-        "steps": {
-            label: {"op": s.op, "args": [serialize_arg(a) for a in s.args]}
-            for label, s in template.plan.steps.items()
-        },
-        "result": template.plan.result,
-    }
-    for name, slot in template.slots.items():
-        s: dict = {"kind": slot.kind}
-        if slot.types:
-            s["types"] = sorted(t.value for t in slot.types)
-        if not slot.required:
-            s["required"] = False
-        doc["slots"][name] = s
-    if template.statement is not None:
-        doc["statement"] = statement_template_to_dict(template.statement)
-    return doc

@@ -89,9 +89,3 @@ class ResultSet:
 
     columns: list[ColumnMeta]
     rows: list[tuple]
-
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)

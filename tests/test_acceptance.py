@@ -28,7 +28,7 @@ from aag.cli import main as cli_main
 from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import PlanTypeError
 from aag.oracle import oracle_eval
-from aag.plans import analyze_plan, serialize_plan, toposort
+from aag.plans import analyze_plan, plan_to_dict, toposort
 from aag.statements import format_value, render_table
 from aag.types import AttributeType as T
 
@@ -203,8 +203,8 @@ def test_criterion_4_composition(ring_db, dataset):
     # independent evaluation: run the member part alone, then apply the
     # template's selection by hand
     member_rows = oracle_eval(ring, members, dataset)
-    key = member_rows.column_index("name")
-    val = member_rows.column_index("average size")
+    names = [c.name for c in member_rows.columns]
+    key, val = names.index("name"), names.index("average size")
     manual = [(r[val],) for r in member_rows.rows if r[key] == "California"]
     composed_rows = oracle_eval(ring, composed, dataset).rows
     compiled_rows = run_plan(ring, composed, db).rows
@@ -228,7 +228,7 @@ def test_criterion_5_blueprint_counts_and_determinism(ring):
         runs = set()
         for _ in range(10):
             facts = instantiate(ring, blueprint, request)
-            runs.add("\n".join(f"{f.id}\t{serialize_plan(f.plan)}"
+            runs.add("\n".join(f"{f.id}\t{json.dumps(plan_to_dict(f.plan))}"
                                for f in facts))
             counts[name] = len(facts)
         stable = stable and len(runs) == 1

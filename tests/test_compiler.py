@@ -17,7 +17,7 @@ from aag.blueprints import (
 from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import DbError, NoRelationshipError
 from aag.oracle import MemoryDataset, oracle_eval
-from aag.plans import plan_from_dict
+from aag.plans import parse_plan
 from aag.registry import DERIVATION_AGGREGATIONS
 from aag.templates import fill_template
 
@@ -25,7 +25,7 @@ from conftest import load_fixture_plan, load_fixture_request
 
 
 def _plan(doc):
-    return plan_from_dict(doc)
+    return parse_plan(doc)
 
 
 def _steps(extra, result):
@@ -158,7 +158,8 @@ def _collect(columns, *extra, **exprs):
 
 # Plans whose SQL and oracle results must agree: variadic arithmetic,
 # aggregations of computed inputs, and the rules listed in constants.py.
-# Each maps to its expected rows, or None where agreement is the check.
+# Each maps to its expected rows, or None where agreement is the check. The
+# last step is the plan's result.
 ORACLE_CASES = {
     "add_variadic": (_collect("V", V=("add", ["|B|", 1000, 1000000])), None),
     "subtract_multiply_variadic": (_collect(
@@ -200,6 +201,8 @@ ORACLE_CASES = {
                                          "2020-01-02T01:00:00.6"]},
         "R": {"op": "return", "args": ["|P|"]},
     }, [(90001,)]),
+    "result_without_terminal_return": (
+        {"V": {"op": "average", "args": ["|B|"]}}, [(175.0,)]),
 }
 
 
@@ -207,7 +210,7 @@ ORACLE_CASES = {
 def test_plan_matches_oracle(ring_db, dataset, case):
     ring, db = ring_db
     steps, want = ORACLE_CASES[case]
-    plan = _steps(steps, "R")
+    plan = _steps(steps, list(steps)[-1])
     assert_matches_oracle(ring, db, dataset, plan)
     if want is not None:
         assert run_plan(ring, plan, db).rows == want

@@ -1,0 +1,44 @@
+"""Every CLI output of the fixture requests and plans, byte for byte against
+the files in ``tests/goldens``: each ``report generate --mode``, the
+``.facts`` sidecar of ``--out``, and the ``plan run`` table."""
+
+import pytest
+from click.testing import CliRunner
+
+from aag.cli import main
+
+from conftest import FIXTURES, GOLDENS
+
+REQUESTS = ("benchmark_california", "ranking_california",
+            "time_over_time_california")
+MODES = {"plans": "json", "tables": "md", "statements": "txt",
+         "prompt": "txt", "report": "txt"}
+PLANS = ("all_sizes", "average_size_by_state_2020", "max_of_state_averages")
+
+CASES = [
+    (f"{name}_{mode}.{ext}",
+     ["report", "generate", "--request",
+      str(FIXTURES / "requests" / f"{name}.json"), "--mode", mode])
+    for name in REQUESTS for mode, ext in MODES.items()
+] + [
+    (f"{name}_plan_run.md",
+     ["plan", "run", "--plan", str(FIXTURES / "plans" / f"{name}.json")])
+    for name in PLANS
+]
+
+
+@pytest.mark.parametrize("golden, args", CASES, ids=[g for g, _ in CASES])
+def test_output_matches_golden(cli_ring_path, tmp_path, golden, args):
+    want = (GOLDENS / golden).read_bytes()
+    args = [*args, "--ring", str(cli_ring_path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == want
+    if golden.endswith("_report.txt"):
+        # --out writes the same text, and its sidecar the statements
+        out = tmp_path / "report.txt"
+        assert CliRunner().invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        statements = golden.replace("_report.", "_statements.")
+        assert out.read_bytes() + b"\n" == want
+        assert (tmp_path / "report.txt.facts").read_bytes() + b"\n" == \
+            (GOLDENS / statements).read_bytes()

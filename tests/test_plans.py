@@ -17,8 +17,6 @@ from aag.plans import (
     analyze_plan,
     parse_plan,
     plan_to_dict,
-    serialize_plan,
-    typecheck_plan,
 )
 from aag.templates import compose_plans
 from aag.types import AttributeType as T
@@ -33,7 +31,7 @@ def _plan(steps, result):
 def test_parse_round_trip():
     plan = load_fixture_plan("average_size_by_state_2020")
     doc = plan_to_dict(plan)
-    assert parse_plan(json.loads(serialize_plan(plan))).steps == plan.steps
+    assert parse_plan(json.dumps(doc)).steps == plan.steps
     assert doc["steps"]["F"]["args"] == ["|C|", 2020]
 
 
@@ -73,15 +71,15 @@ def test_cycles_are_detected(ring):
 
 def test_typecheck_infers_aggregation_kinds(ring):
     plan = load_fixture_plan("average_size_by_state_2020")
-    types = typecheck_plan(ring, plan)
-    assert types["H"] == frozenset({T.ARITHMETIC, T.METRIC})
-    assert types["F"] == frozenset({T.FILTER})
-    assert types["I"] == frozenset({T.ENTITY})
+    info = analyze_plan(ring, plan)
+    assert info["H"].types == frozenset({T.ARITHMETIC, T.METRIC})
+    assert info["F"].types == frozenset({T.FILTER})
+    assert info["I"].types == frozenset({T.ENTITY})
 
 
 def test_typecheck_rejects_kind_mismatch(ring):
     with pytest.raises(PlanTypeError):
-        typecheck_plan(ring, _plan({
+        analyze_plan(ring, _plan({
             "A": {"op": "retrieve_entity", "args": ["State"]},
             "B": {"op": "retrieve_attribute", "args": ["|A|", "name"]},
             "C": {"op": "average", "args": ["|B|"]},

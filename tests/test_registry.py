@@ -9,7 +9,6 @@ from aag.registry import (
     REGISTRY,
     get_signature,
     match_args,
-    register,
     spec_accepts,
 )
 from aag.types import AttributeType as T, typeset
@@ -189,8 +188,3 @@ def test_spec_accepts_sentinels():
     assert spec_accepts(ATTRIBUTE_COLLECTION, COLL)
     assert spec_accepts(ATTRIBUTE_COLLECTION, METRIC)
     assert not spec_accepts(ATTRIBUTE_COLLECTION, SORT)
-
-
-def test_register_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register(get_signature("average"))

@@ -12,8 +12,6 @@ from aag.statements import (
     join_phrase,
     render_statement,
     render_table,
-    statement_template_from_dict,
-    statement_template_to_dict,
 )
 from aag.types import ColumnMeta, DatetimeValue, ResultSet
 from aag.types import AttributeType as T
@@ -162,16 +160,6 @@ def test_out_of_range_column_is_an_error():
     t = StatementTemplate("{v}", {"v": Binding(column=3)})
     with pytest.raises(MissingColumnError, match="column"):
         render_statement(t, _rs([_col("x")], [(1,)]))
-
-
-def test_statement_template_round_trip():
-    doc = {
-        "template": "It {was} bigger.",
-        "bindings": {"was": {"column": 0, "map": {"1": "was", "0": "was not"}}},
-        "null_statement": "Nothing.",
-    }
-    t = statement_template_from_dict(doc)
-    assert statement_template_to_dict(t) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,7 @@ from aag.errors import (
     WiringError,
 )
 from aag.plans import analyze_plan, plan_from_dict
-from aag.templates import (
-    compose_plans,
-    fill_template,
-    template_from_dict,
-    template_to_dict,
-)
+from aag.templates import compose_plans, fill_template, template_from_dict
 from aag.types import AttributeType as T
 
 
@@ -75,13 +70,6 @@ def test_builtin_templates_load(templates):
     for t in templates.values():
         assert t.statement is not None
         assert t.description
-
-
-def test_template_round_trip(templates):
-    t = templates["metric_value"]
-    again = template_from_dict(template_to_dict(t))
-    assert again.plan == t.plan
-    assert again.slots == t.slots
 
 
 def test_template_rejects_undeclared_slot():

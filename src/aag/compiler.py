@@ -15,9 +15,14 @@ Eager aggregation (Yan & Larson, VLDB 1995): when a region joins tables,
 every aggregation is decomposable (average as SUM/COUNT, standard deviation
 as SUM(v*v), SUM(v), COUNT(v)) over one fact table T that no key or other
 column reads, and each filter conjunct reads only T or no T column, then T
-becomes T grouped by its join columns into partials (under T's name, with
-the T-only conjuncts) that the outer grouping combines. Rows of one inner
-group join the same rows, so this is exact for any join multiplicity.
+is replaced by its partials: T-only conjuncts and grouping by T's join
+columns in a statement of its own, a TEMP table ``p_<hash>`` read under T's
+name. The outer grouping combines any number of partial rows per key, so
+``execute`` builds a large T's partials in rowid ranges on parallel
+connections (two-phase aggregation, Shatdal & Naughton, SIGMOD 1995).
+``connect`` begins a read transaction and the report connection reads T's
+rowid bounds (two scalar subqueries: one SELECT of both scans T) before any
+helper starts, so in rollback-journal mode no commit lands mid-report.
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
@@ -31,7 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import sqlite3
+import threading
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,9 +67,12 @@ class CompiledQuery:
     subplans: list[Subplan] = field(default_factory=list)
     # (name, sql, params) of each materialization, upstream first
     materializations: list = field(default_factory=list)
+    # partial table -> (fact table, its SQL restricted to rowids ?N+1..?N+2)
+    ranged: dict = field(default_factory=dict)
 
     def statements(self) -> list[tuple[str, list]]:
-        """What ``execute`` runs, in order: (sql, params) pairs."""
+        """What ``execute`` runs, in order: (sql, params) pairs; a large
+        partial table is built in rowid ranges instead."""
         return [(f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}", params)
                 for name, sql, params in self.materializations
                 ] + [(self.sql, self.params)]
@@ -89,15 +99,9 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
     connected = [entities[0]]
     remaining = list(entities[1:])
     while remaining:
-        hop = None
-        for a in connected:
-            for b in remaining:
-                rel = ring.relationship_between(a, b)
-                if rel is not None:
-                    hop = (b, rel)
-                    break
-            if hop:
-                break
+        hop = next(((b, rel) for a in connected for b in remaining
+                    if (rel := ring.relationship_between(a, b)) is not None),
+                   None)
         if hop is None:
             raise NoRelationshipError(
                 f"no relationship connects {remaining!r} to "
@@ -151,7 +155,8 @@ class _Compiler:
         self.ctes: list[tuple[str, str]] = []  # (name, sql)
         self.params: list = []
         self.subplans: list[Subplan] = []
-        self._mats: dict[str, tuple[str, str, list]] = {}  # by return label
+        self._mats: dict = {}  # (name, sql, params) by return label or name
+        self.ranged: dict[str, tuple[str, str]] = {}
 
     def bind(self, value) -> str:
         """Append a literal to the statement's parameters; return its
@@ -179,7 +184,8 @@ class _Compiler:
         columns = [c for _, c in self.info[terminal].columns]
         return CompiledQuery(sql=sql, params=self.params,
                              output_columns=columns, subplans=self.subplans,
-                             materializations=list(self._mats.values()))
+                             materializations=list(self._mats.values()),
+                             ranged=self.ranged)
 
     # -- region helpers -------------------------------------------------------
 
@@ -205,12 +211,9 @@ class _Compiler:
         return by_op, upstream
 
     def _is_scalar_mat(self, ret_label: str) -> bool:
-        ret = self.info[ret_label]
-        return all(
-            self.plan.steps[l].op in _AGGREGATIONS
-            and self.info[l].grouping_label is None
-            for l in ret.collection_labels
-        )
+        return all(self.plan.steps[l].op in _AGGREGATIONS
+                   and self.info[l].grouping_label is None
+                   for l in self.info[ret_label].collection_labels)
 
     def _materialize(self, ret_label: str) -> str:
         """Compile the region to a statement with its own CTEs and
@@ -220,25 +223,27 @@ class _Compiler:
             self.ctes, self.params = [], []
             sql, params = self._region_sql(ret_label), self.params
             self.ctes, self.params = outer
-            key = repr((sql, params)).encode()
-            name = "m_" + hashlib.sha1(key).hexdigest()[:16]
-            self._mats[ret_label] = (name, sql, params)
+            name = self._add_table("m_", sql, params, ret_label)
             self.subplans.append(Subplan(name, "materialization"))
         return self._mats[ret_label][0]
+
+    def _add_table(self, prefix: str, sql: str, params: list,
+                  key=None) -> str:
+        """Add a TEMP table's statement, once per ``key`` (default: its
+        name); return the name its content gives it."""
+        digest = hashlib.sha1(repr((sql, params)).encode()).hexdigest()
+        name = prefix + digest[:16]
+        self._mats.setdefault(key or name, (name, sql, params))
+        return name
 
     # -- region compilation --------------------------------------------------
 
     def _region_sql(self, ret_label: str) -> str:
         by_op, upstream = self._region(ret_label)
 
-        scalar_mats: dict[str, str] = {}
-        row_mats: dict[str, str] = {}
-        for up in sorted(upstream):
-            table = self._materialize(up)
-            if self._is_scalar_mat(up):
-                scalar_mats[up] = table
-            else:
-                row_mats[up] = table
+        mats = {up: self._materialize(up) for up in sorted(upstream)}
+        scalar_mats = {u: t for u, t in mats.items() if self._is_scalar_mat(u)}
+        row_mats = {u: t for u, t in mats.items() if u not in scalar_mats}
 
         # one alias per distinct entity
         entity_names: list[str] = []
@@ -282,6 +287,7 @@ class _Region:
         self.conjuncts: list[tuple[str, bool]] = []  # (filter, reads fact)
         self.fact_where: list[str] = []
         self.partials: dict[str, str] = {}  # inner aggregate -> column
+        self.partial_params: list = []
 
     # -- FROM / WHERE -----------------------------------------------------------
 
@@ -303,7 +309,10 @@ class _Region:
         parts = list(self._join_conditions)
         if self.fact:
             for l, inner in self.conjuncts:
-                (self.fact_where if inner else parts).append(self.expr(l))
+                if inner:
+                    self.fact_where.append(self._in_partial(l))
+                else:
+                    parts.append(self.expr(l))
         elif self.ret.filter_label:
             parts.append(self.expr(self.ret.filter_label))
         self.where_sql = ("WHERE " + " AND ".join(parts)) if parts else ""
@@ -363,6 +372,13 @@ class _Region:
             self.conjuncts.append((l, fact in r))
         return fact
 
+    def _in_partial(self, label: str) -> str:
+        """Compile a fact table expression into the partials' statement."""
+        outer, self.c.params = self.c.params, self.partial_params
+        sql = self.expr(label)
+        self.c.params = outer
+        return sql
+
     def _combine(self, op: str, v: str) -> str:
         """``op(v)`` over the join, from the fact table's partials."""
         def p(agg: str, e: str = v) -> str:  # the column holding agg(e)
@@ -381,19 +397,26 @@ class _Region:
         return mean(v) if op == "average" else _stddev(v, mean)
 
     def _eager_from(self) -> str:
-        """FROM with the fact table grouped by its join columns, under its
-        own name, so join conditions and outer clauses stay as they are."""
+        """FROM with the fact table's partials, grouped by its join columns
+        into a TEMP table read under the fact table's name, so join
+        conditions and outer clauses stay as they are."""
         fact = _q(self.fact)
         keys = {f"{fact}.{_q(c)}": _q(c)
                 for c in self.joins.columns[self.fact]}
         cols = ", ".join(f"{e} AS {c}" for e, c in
                          [*keys.items(), *self.partials.items()])
-        where = " AND ".join(self.fact_where)
-        derived = (f"(SELECT {cols}\nFROM {fact}"
-                   + (f"\nWHERE {where}" if where else "")
-                   + f"\nGROUP BY {', '.join(keys)}) AS {fact}")
-        return "FROM " + ", ".join(derived if t == self.fact else _q(t)
-                                   for t in self.joins.tables)
+
+        def select(where: list[str]) -> str:
+            return (f"SELECT {cols}\nFROM {fact}"
+                    + (f"\nWHERE {' AND '.join(where)}" if where else "")
+                    + f"\nGROUP BY {', '.join(keys)}")
+        params = self.partial_params
+        name = self.c._add_table("p_", select(self.fact_where), params)
+        n = len(params)
+        self.c.ranged[name] = (self.fact, select(
+            [*self.fact_where, f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]))
+        return "FROM " + ", ".join(f"{name} AS {fact}" if t == self.fact
+                                   else _q(t) for t in self.joins.tables)
 
     # -- hoisted CTEs -------------------------------------------------------------
 
@@ -433,18 +456,13 @@ class _Region:
 
     def _hoist_nested_groups(self) -> None:
         """Aggregations over grouped aggregations read from a grouping CTE."""
-        nested = []
-        for op, labels in self.by_op.items():
-            if op not in _AGGREGATIONS:
-                continue
-            for l in labels:
-                inner = self.c.info[l].value_label
-                # an aggregation's input is in its region unless a return
-                if inner and self.c.plan.steps[inner].op in _AGGREGATIONS:
-                    nested.append((l, inner))
-        if not nested:
+        inputs = {self.c.info[l].value_label for op, labels in
+                  self.by_op.items() if op in _AGGREGATIONS for l in labels}
+        # an aggregation's input is in its region unless a return
+        inner_labels = {i for i in inputs
+                        if i and self.c.plan.steps[i].op in _AGGREGATIONS}
+        if not inner_labels:
             return
-        inner_labels = {inner for _, inner in nested}
         if len(inner_labels) > 1:
             raise UnsupportedPatternError(
                 "multiple nested aggregations in one region")
@@ -476,8 +494,7 @@ class _Region:
 
     def expr(self, label: str) -> str:
         if label in self.column_of:
-            alias, col = self.column_of[label]
-            return f"{_q(col)}"
+            return _q(self.column_of[label][1])
         step = self.c.plan.steps[label]
         si = self.c.info[label]
         op = step.op
@@ -533,9 +550,10 @@ class _Region:
             cov = f"(AVG({x}*{y}) - AVG({x})*AVG({y}))"
             return (f"(CASE WHEN COUNT({x}) < 2 THEN NULL ELSE "
                     f"{cov} / NULLIF({_stddev(x)} * {_stddev(y)}, 0.0) END)")
-        v = self.expr(self.c.info[label].value_label)
+        value = self.c.info[label].value_label
         if self.fact:
-            return self._combine(op, v)
+            return self._combine(op, self._in_partial(value))
+        v = self.expr(value)
         if op == "standard_deviation":
             return _stddev(v)
         if op in _SIMPLE_AGGS:
@@ -580,24 +598,19 @@ class _Region:
         return "\n".join(l for l in sql_lines if l)
 
     def _order_clause(self) -> str:
-        ret = self.ret
-        names = [col.name for _, col in ret.columns]
-        if ret.sort_label:
-            s = self.c.info[ret.sort_label]
-            terms = []
-            used = set()
+        names = [col.name for _, col in self.ret.columns]
+        terms, used = [], set()
+        if self.ret.sort_label:
+            s = self.c.info[self.ret.sort_label]
+            way = "DESC" if s.direction == "desc" else "ASC"
             for k in s.key_labels:
                 name = self.c.info[k].name
                 # sort keys refer to output columns by their produced name
                 if name in names:
                     used.add(name)
-                    terms.append(
-                        f"{_q(name)} {'DESC' if s.direction == 'desc' else 'ASC'}")
-            for name in names:
-                if name not in used:
-                    terms.append(f"{_q(name)} ASC")
-            return "ORDER BY " + ", ".join(terms)
-        return "ORDER BY " + ", ".join(f"{_q(n)} ASC" for n in names)
+                    terms.append(f"{_q(name)} {way}")
+        terms += [f"{_q(n)} ASC" for n in names if n not in used]
+        return "ORDER BY " + ", ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +623,22 @@ def compile_plan(ring: Ring, plan: SqrPlan,
     return _Compiler(ring, plan, info).compile()
 
 
+# rowid span per range of a partial table's build: two ranges break even
+# with one scan near 20,000 rows (2 CPUs, SQLite 3.40), so builds split at
+# twice that
+PARTITION_ROWS = 20_000
+
+
 def connect(db_path: Union[str, Path]) -> sqlite3.Connection:
-    """Open ``db_path`` read-only, in autocommit, with the aag functions."""
+    """Open ``db_path`` read-only with the aag functions, in a deferred read
+    transaction: from its first read to ``close`` it sees one snapshot."""
     path = Path(db_path).absolute()
     if not path.is_file():
         raise DbError(f"database not found: {db_path}")
     try:
         conn = sqlite3.connect(path.as_uri() + "?mode=ro", uri=True,
                                isolation_level=None)
+        conn.execute("BEGIN")
     except sqlite3.Error as e:
         raise DbError(f"cannot open database {db_path}: {e}") from e
     conn.create_function("SQRT", 1, _sqlite_sqrt)
@@ -629,12 +650,89 @@ def connect(db_path: Union[str, Path]) -> sqlite3.Connection:
 def execute(compiled: CompiledQuery,
             conn: sqlite3.Connection) -> ResultSet:
     """Build the TEMP tables of the query ``conn`` lacks, then run it."""
-    for sql, params in compiled.statements():
-        try:
-            rows = [tuple(r) for r in conn.execute(sql, params)]
-        except sqlite3.Error as e:
-            raise DbError(str(e), sql=sql) from e
+    built = {n for n, in _run(conn, "SELECT name FROM sqlite_temp_master", [])}
+    for name, sql, params in compiled.materializations:
+        if name in built or (name in compiled.ranged and _build_in_ranges(
+                conn, name, params, *compiled.ranged[name])):
+            continue
+        _run(conn, f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}", params)
+    rows = _run(conn, compiled.sql, compiled.params)
     return ResultSet(columns=compiled.output_columns, rows=rows)
+
+
+def _run(conn: sqlite3.Connection, sql: str, params: list) -> list:
+    try:
+        return conn.execute(sql, params).fetchall()
+    except sqlite3.Error as e:
+        raise DbError(str(e), sql=sql) from e
+
+
+def _build_in_ranges(conn: sqlite3.Connection, name: str, params: list,
+                     fact: str, ranged: str) -> bool:
+    """Build the partial table ``name`` from rowid ranges of ``fact`` read
+    in parallel, unless one scan must do; say whether it did. A range its
+    helper could not read (say, busy behind a writer's pending commit) the
+    report connection reads itself."""
+    ranges = _ranges(conn, fact)
+    if not ranges:
+        return False
+    path = _run(conn, "PRAGMA database_list", [])[0][2]
+    parts: list = [None] * len(ranges)
+
+    def read(i: int) -> None:
+        try:
+            with closing(connect(path)) as own:
+                # behind a writer's pending commit, give the range up at once
+                own.execute("PRAGMA busy_timeout = 0")
+                parts[i] = own.execute(ranged, params + ranges[i]).fetchall()
+        except (sqlite3.Error, DbError):
+            pass
+
+    helpers = [threading.Thread(target=read, args=(i,))
+               for i in range(1, len(ranges))]
+    for t in helpers:
+        t.start()
+    try:
+        _run(conn, f"CREATE TEMP TABLE {name} AS\n{ranged}",
+             params + ranges[0])
+    finally:
+        for t in helpers:
+            t.join()
+    for rows, bounds in zip(parts[1:], ranges[1:]):
+        if rows is None:
+            _run(conn, f"INSERT INTO {name}\n{ranged}", params + bounds)
+        for row in rows or ():
+            marks = ", ".join("?" * len(row))
+            _run(conn, f"INSERT INTO {name} VALUES ({marks})", list(row))
+    return True
+
+
+def _cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _ranges(conn: sqlite3.Connection, fact: str) -> list[list[int]]:
+    """Rowid ranges of ``fact``, one per CPU and at most one per
+    ``PARTITION_ROWS`` of its span; none when it is read in one scan."""
+    cpus, t = _cpus(), _q(fact)
+    if cpus < 2 or not _run(conn, "SELECT 1 FROM sqlite_master WHERE "
+                            "type = 'table' AND name = ?", [fact]):
+        return []
+    try:  # two scalar subqueries, each reading one end of the rowid B-tree
+        [(lo, hi)] = _run(conn, f"SELECT (SELECT min(rowid) FROM {t}), "
+                                f"(SELECT max(rowid) FROM {t})", [])
+    except DbError:  # a WITHOUT ROWID table
+        return []
+    k = min(cpus, (hi - lo + 1) // PARTITION_ROWS) \
+        if isinstance(lo, int) and isinstance(hi, int) else 0
+    # WAL gives each connection its own snapshot; a column can hide rowid
+    if k < 2 or _run(conn, "PRAGMA journal_mode", [])[0][0] == "wal" \
+            or _run(conn, "SELECT 1 FROM pragma_table_info(?) WHERE lower("
+                          "name) IN ('rowid', '_rowid_', 'oid')", [fact]):
+        return []
+    step = -(-(hi - lo + 1) // k)
+    return [[a, min(a + step - 1, hi)] for a in range(lo, hi + 1, step)]
 
 
 def _sqlite_sqrt(x):

@@ -167,6 +167,9 @@ def _sort_key(value):
 def oracle_eval(ring: Ring, plan: SqrPlan,
                 dataset: MemoryDataset) -> ResultSet:
     """Evaluate a plan against in-memory tables, canonically ordered."""
+    if plan.steps[plan.result].op != "return":
+        raise UnsupportedPatternError(
+            "plan must terminate in a materialization")
     info = analyze_plan(ring, plan)
     ev = _Evaluator(ring, plan, info, dataset)
     return ev.eval_return(plan.result)

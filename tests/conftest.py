@@ -1,4 +1,5 @@
 import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,38 @@ def cli_ring_path(tmp_path_factory, db_path) -> Path:
     ring_file.write_text(RING_PATH.read_text())
     shutil.copy(db_path, d / "wildfire.db")
     return ring_file
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The connections ``sqlite3.connect`` opens while the test runs, and
+    those of them closed."""
+    opened, closed = [], []
+    connect = sqlite3.connect
+
+    class Tracked(sqlite3.Connection):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    def tracked(*args, **kwargs):
+        opened.append(connect(*args, factory=Tracked, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", tracked)
+    return opened, closed
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(k)`` builds every partial table of more than k rows in k
+    rowid ranges."""
+    from aag import compiler
+
+    def split(k: int) -> None:
+        monkeypatch.setattr(compiler, "PARTITION_ROWS", 1)
+        monkeypatch.setattr(compiler, "_cpus", lambda: k)
+    return split
 
 
 def load_fixture_plan(name: str):

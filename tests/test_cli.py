@@ -6,6 +6,7 @@ import sqlite3
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 import requests
@@ -294,6 +295,21 @@ def test_report_holds_no_lock_and_sees_new_rows(runner, cli_ring_path,
     after = _run(runner, *args)
     assert after.exit_code == 0
     assert "A total of 3 states were compared." in after.output
+
+
+def test_report_built_in_ranges_leaves_no_thread_or_connection(
+        runner, cli_ring_path, split, opened):
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            RANKING, "--mode", "statements"]
+    want = _run(runner, *args).output
+    split(3)
+    connections, closed = opened
+    before, threads = len(connections), set(threading.enumerate())
+    assert _run(runner, *args).output == want
+    # the report's connection and two helpers' for its one partial table
+    assert len(connections) - before == 3
+    assert all(any(c is d for d in closed) for c in connections)
+    assert set(threading.enumerate()) == threads
 
 
 def test_report_runs_on_read_only_database(runner, cli_ring_path, tmp_path):

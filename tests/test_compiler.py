@@ -2,7 +2,11 @@ import json
 import math
 import random
 import re
+import shutil
 import sqlite3
+import sys
+import threading
+import time
 from contextlib import closing
 
 import pytest
@@ -58,9 +62,10 @@ def test_grouped_average_results(ring_db):
 
 def test_sql_is_fully_parameterized(ring):
     compiled = compile_plan(ring, load_fixture_plan("average_size_by_state_2020"))
-    assert "2020" not in compiled.sql
-    assert 2020 in compiled.params
-    assert "?" in compiled.sql
+    statements = compiled.statements()
+    assert not any("2020" in sql for sql, _ in statements)
+    [sql] = [sql for sql, params in statements if 2020 in params]
+    assert "?" in sql
 
 
 def test_compilation_is_deterministic(ring):
@@ -303,7 +308,9 @@ def test_members_table_is_named_by_content_not_labels(ring):
     # composition prefixes the members' labels differently in each plan
     assert set(value.steps) != set(rank.steps)
     assert _table_names(ring, value) == _table_names(ring, rank)
-    [(name, sql, params)] = compile_plan(ring, value).materializations
+    [(partial, _, _), (name, sql, params)] = compile_plan(
+        ring, value).materializations
+    assert re.fullmatch(r"p_[0-9a-f]{16}", partial)
     assert re.fullmatch(r"m_[0-9a-f]{16}", name)
     assert sql.startswith("SELECT") and params == []
 
@@ -313,7 +320,7 @@ def test_table_names_differ_by_period(ring):
                                              "time_over_time_california")}
     start = _table_names(ring, facts["target_value_start"].plan)
     end = _table_names(ring, facts["target_value_end"].plan)
-    assert len(start) == len(end) == 1 and start != end
+    assert len(start) == len(end) == 2 and not set(start) & set(end)
 
 
 def test_table_names_differ_by_literal_type(ring):
@@ -321,7 +328,7 @@ def test_table_names_differ_by_literal_type(ring):
         _table_names(ring, _compose(ring, "metric_value", _ranking_members(
             ring, [{"attribute": "year", "op": "exact", "value": year}])))
         for year in (2019, "2019")]
-    assert len(names[0]) == 1 and names[0] != names[1]
+    assert len(names[0]) == 2 and not set(names[0]) & set(names[1])
 
 
 @pytest.mark.parametrize("name, tables", [
@@ -337,10 +344,12 @@ def test_one_connection_per_report_matches_one_per_fact(ring_db, name,
         shared = [execute(compile_plan(ring, f.plan), conn).rows
                   for f in facts]
         built = conn.execute(
-            "SELECT COUNT(*) FROM sqlite_temp_master WHERE type = 'table'"
-        ).fetchone()[0]
+            "SELECT substr(name, 1, 2), COUNT(*) FROM sqlite_temp_master "
+            "WHERE type = 'table' GROUP BY 1 ORDER BY 1").fetchall()
     assert shared == [run_plan(ring, f.plan, db).rows for f in facts]
-    assert built == tables
+    # one partial table per members statement: two periods in time over time
+    partials = 2 if name.startswith("time") else 1
+    assert built == [("m_", tables), ("p_", partials)]
 
 
 def test_failed_materialization_names_its_statement(ring_db, tmp_path):
@@ -349,7 +358,7 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
     compiled = compile_plan(ring, facts[0].plan)
     empty = tmp_path / "empty.db"
     sqlite3.connect(empty).close()
-    [(name, _, _)] = compiled.materializations
+    (name, _, _), _ = compiled.materializations
     with closing(connect(empty)) as conn, \
             pytest.raises(DbError, match="no such table") as err:
         execute(compiled, conn)
@@ -359,9 +368,41 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
 # ---------------------------------------------------------------------------
 # eager aggregation: the fact table grouped by its join key before the join
 
-_PREAGGREGATED = 'GROUP BY "wildfires"."state_id") AS "wildfires"'
+def _preaggregated(compiled) -> list[str]:
+    """The partial tables of ``compiled`` that group the fires by their join
+    column and that a statement joins under the fires' name."""
+    texts = [sql for sql, _ in compiled.statements()]
+    return [name for name, sql, _ in compiled.materializations
+            if name in compiled.ranged
+            and sql.startswith('SELECT "wildfires"."state_id" AS "state_id", ')
+            and sql.endswith('\nGROUP BY "wildfires"."state_id"')
+            and any(f'FROM {name} AS "wildfires", "states"\n' in t
+                    for t in texts)]
+
+
 _FIXTURE_REQUESTS = ("ranking_california", "benchmark_california",
                      "time_over_time_california")
+
+
+_FIRES = ("CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
+          "INTEGER, size_acres REAL, year INTEGER{})")
+
+
+def _write_db(path, dataset, fires=_FIRES.format(""), after=""):
+    """A database at ``path`` holding ``dataset``, its fires in the table
+    ``fires`` creates; ``after`` runs once the rows are in."""
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(
+            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);" + fires)
+        for table, rows in dataset.tables.items():
+            cols = list(rows[0])
+            conn.executemany(
+                f"INSERT INTO {table} ({', '.join(cols)}) VALUES "
+                f"({', '.join('?' * len(cols))})",
+                [tuple(r[c] for c in cols) for r in rows])
+        conn.executescript(after)
+        conn.commit()
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -376,25 +417,31 @@ def nullable_db(tmp_path_factory):
               None if rng.random() < 0.15 else round(rng.uniform(0, 500), 1),
               rng.choice([2018, 2019, 2020])) for i in range(1, 121)]
     fires += [(121, 6, None, 2019), (122, 6, None, 2020)]
-    path = tmp_path_factory.mktemp("nullable") / "wildfire.db"
-    with closing(sqlite3.connect(path)) as conn:
-        conn.executescript(
-            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);"
-            "CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
-            "INTEGER, size_acres REAL, year INTEGER);")
-        conn.executemany("INSERT INTO states VALUES (?, ?)", states)
-        conn.executemany("INSERT INTO wildfires VALUES (?, ?, ?, ?)", fires)
-        conn.commit()
     dataset = MemoryDataset(tables={
         "states": [dict(zip(("id", "name"), r)) for r in states],
         "wildfires": [dict(zip(("id", "state_id", "size_acres", "year"), r))
                       for r in fires]})
-    return path, dataset
+    path = tmp_path_factory.mktemp("nullable") / "wildfire.db"
+    return _write_db(path, dataset), dataset
 
 
-def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
-    db, dataset = nullable_db
-    forms = []
+@pytest.fixture(scope="module")
+def gapped_db(tmp_path_factory, nullable_db):
+    """The nullable database with rowid gaps: its oldest fires deleted, as
+    a loader that drops the oldest rows leaves it, and a later block."""
+    _, dataset = nullable_db
+    path = _write_db(tmp_path_factory.mktemp("gapped") / "wildfire.db",
+                     dataset, after="DELETE FROM wildfires WHERE id <= 40 "
+                     "OR id BETWEEN 66 AND 96")
+    fires = [r for r in dataset.tables["wildfires"]
+             if 40 < r["id"] < 66 or r["id"] > 96]
+    return path, MemoryDataset(tables=dict(dataset.tables, wildfires=fires))
+
+
+def _blueprint_plans_match_oracle(ring, db, dataset) -> list[int]:
+    """Check every fact of each fixture request type, aggregation and size
+    filter on ``db``; return the number of partial tables each reads."""
+    partials = []
     for name in _FIXTURE_REQUESTS:
         doc = json.loads(load_fixture_request(name))
         for aggregation in DERIVATION_AGGREGATIONS:
@@ -405,16 +452,29 @@ def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
                 for fact in instantiate(ring, load_blueprint(request.report),
                                         request):
                     assert_matches_oracle(ring, db, dataset, fact.plan)
-                    forms.append(any(
-                        _PREAGGREGATED in sql for _, sql, _ in
-                        compile_plan(ring, fact.plan).materializations))
-    assert len(forms) == 8 * 2 * 22 and any(forms) and not all(forms)
+                    partials.append(len(_preaggregated(
+                        compile_plan(ring, fact.plan))))
+    assert len(partials) == 8 * 2 * 22 and any(partials)
+    assert not all(partials)
+    return partials
 
 
-@pytest.mark.parametrize("state", ["Utah", "Idaho", "Nevada"])
-def test_preaggregation_of_one_state_matches_oracle(ring, nullable_db,
-                                                    state):
-    db, dataset = nullable_db
+def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
+    _blueprint_plans_match_oracle(ring, *nullable_db)
+
+
+@pytest.mark.parametrize("gaps", [False, True], ids=["dense", "gapped"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_partials_built_in_ranges_match_oracle_with_nulls(
+        ring, nullable_db, gapped_db, split, opened, k, gaps):
+    split(k)
+    partials = _blueprint_plans_match_oracle(
+        ring, *(gapped_db if gaps else nullable_db))
+    # a connection per plan, and k - 1 helpers per partial table
+    assert len(opened[0]) == len(partials) + (k - 1) * sum(partials)
+
+
+def _one_state_matches_oracle(ring, db, dataset, state):
     for aggregation in DERIVATION_AGGREGATIONS:
         plan = _steps({
             "C": {"op": "retrieve_entity", "args": ["State"]},
@@ -426,22 +486,41 @@ def test_preaggregation_of_one_state_matches_oracle(ring, nullable_db,
         assert_matches_oracle(ring, db, dataset, plan)
 
 
-def _members_sql(ring, aggregation, filters=None):
+@pytest.mark.parametrize("state", ["Utah", "Idaho", "Nevada"])
+def test_preaggregation_of_one_state_matches_oracle(ring, nullable_db,
+                                                    state):
+    _one_state_matches_oracle(ring, *nullable_db, state)
+
+
+@pytest.mark.parametrize("gaps", [False, True], ids=["dense", "gapped"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("state", ["Utah", "Idaho", "Nevada"])
+def test_one_state_from_partials_built_in_ranges_matches_oracle(
+        ring, nullable_db, gapped_db, split, state, k, gaps):
+    split(k)
+    _one_state_matches_oracle(ring, *(gapped_db if gaps else nullable_db),
+                              state)
+
+
+def _members(ring, aggregation, filters=None):
     doc = json.loads(load_fixture_request("ranking_california"))
     request = parse_request(dict(doc, aggregation=aggregation))
-    return compile_plan(ring, build_member_plan(ring, request, filters)).sql
+    return compile_plan(ring, build_member_plan(ring, request, filters))
 
 
 @pytest.mark.parametrize("aggregation", [
     "average", "count", "max", "min", "standard_deviation", "sum"])
 def test_decomposable_members_are_preaggregated(ring, aggregation):
-    sql = _members_sql(ring, aggregation, [
+    compiled = _members(ring, aggregation, [
         {"attribute": "year", "op": "exact", "value": 2020}])
-    assert sql.count(_PREAGGREGATED) == 1
+    [name] = _preaggregated(compiled)
+    [(_, partial, params)] = compiled.materializations
     # the fact-only filter moves inside; the join condition stays outside
-    assert '("wildfires"."year" = ?1)\nGROUP BY' in sql
-    assert 'AS "wildfires", "states"\nWHERE "wildfires"."state_id" = ' \
-        '"states"."id"\nGROUP BY "states"."name"' in sql
+    assert '\nWHERE ("wildfires"."year" = ?1)\nGROUP BY' in partial
+    assert params == [2020] and compiled.params == []
+    assert f'FROM {name} AS "wildfires", "states"\nWHERE ' \
+        '"wildfires"."state_id" = "states"."id"\nGROUP BY "states"."name"' \
+        in compiled.sql
 
 
 def _by_state(op, *args, **filter_steps):
@@ -469,7 +548,7 @@ def _by_state(op, *args, **filter_steps):
 def test_get_one_is_preaggregated(ring_db, dataset):
     ring, db = ring_db
     plan = _by_state("get_one", "|B|")
-    assert _PREAGGREGATED in compile_plan(ring, plan).sql
+    assert len(_preaggregated(compile_plan(ring, plan))) == 1
     assert_matches_oracle(ring, db, dataset, plan)
 
 
@@ -491,3 +570,137 @@ def test_other_regions_keep_one_grouping_level(ring_db, dataset, op, args,
     sql = compile_plan(ring, plan).sql
     assert 'FROM "wildfires", "states"' in sql and "aag_p" not in sql
     assert_matches_oracle(ring, db, dataset, plan)
+
+
+def test_more_ranges_than_cpus_under_fast_thread_switches_match_oracle(
+        ring, nullable_db, split):
+    split(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        while time.monotonic() - start < 1:
+            assert_matches_oracle(ring, *nullable_db,
+                                  _by_state("average", "|B|"))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# partial tables built in rowid ranges: when one scan must do, one snapshot
+
+
+@pytest.mark.parametrize("journal, helpers", [("delete", 1), ("wal", 0)])
+def test_wal_database_is_read_in_one_scan(ring_db, tmp_path, split, opened,
+                                          journal, helpers):
+    ring, fixture_db = ring_db
+    db = tmp_path / "wildfire.db"
+    shutil.copy(fixture_db, db)
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute(f"PRAGMA journal_mode = {journal}")
+    facts = _fixture_facts(ring, "ranking_california")
+    want = [run_plan(ring, f.plan, db).rows for f in facts]
+    split(2)
+    before = len(opened[0])
+    with closing(connect(db)) as conn:
+        got = [execute(compile_plan(ring, f.plan), conn).rows for f in facts]
+    assert got == want
+    assert len(opened[0]) - before == 1 + helpers
+
+
+@pytest.mark.parametrize("fires, after", [
+    (_FIRES.format(""), "ALTER TABLE wildfires RENAME TO fires; "
+     "CREATE VIEW wildfires AS SELECT * FROM fires"),
+    (_FIRES.format(", rowid INTEGER"),
+     "UPDATE wildfires SET rowid = id WHERE id % 3 = 0"),
+    (_FIRES.format("") + " WITHOUT ROWID", ""),
+], ids=["view", "rowid_column", "without_rowid"])
+def test_fact_table_without_a_usable_rowid_is_read_in_one_scan(
+        ring, nullable_db, tmp_path, split, opened, fires, after):
+    _, dataset = nullable_db
+    db = _write_db(tmp_path / "wildfire.db", dataset, fires, after)
+    split(2)
+    before = len(opened[0])
+    for op in ("sum", "count", "max"):
+        assert_matches_oracle(ring, db, dataset, _by_state(op, "|B|"))
+    assert len(opened[0]) - before == 3
+
+
+def test_range_behind_a_pending_commit_is_read_by_the_report(
+        ring, nullable_db, tmp_path, split, monkeypatch):
+    _, dataset = nullable_db
+    db = _write_db(tmp_path / "wildfire.db", dataset)
+    writer = sqlite3.connect(db, timeout=0, isolation_level=None,
+                             check_same_thread=False)
+    connect, calls, refused = sqlite3.connect, [], []
+
+    def connect_behind_writer(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:  # a helper's: the report holds its snapshot
+            writer.execute("BEGIN IMMEDIATE")
+            writer.execute("INSERT INTO wildfires VALUES (999, 1, 1e6, 2020)")
+            try:
+                writer.execute("COMMIT")  # fails, and holds PENDING
+            except sqlite3.OperationalError as e:
+                refused.append(str(e))
+        return connect(*args, **kwargs)
+
+    split(2)
+    monkeypatch.setattr(sqlite3, "connect", connect_behind_writer)
+    start = time.monotonic()
+    # the snapshot the report began with: without the pending insert
+    assert_matches_oracle(ring, db, dataset, _by_state("sum", "|B|"))
+    assert time.monotonic() - start < 4  # no wait on the busy timeout
+    assert len(calls) == 2 and refused == ["database is locked"]
+    writer.execute("COMMIT")  # the report has ended
+    writer.close()
+
+
+def test_no_commit_lands_between_the_facts_of_a_report(ring_db, tmp_path,
+                                                       split):
+    ring, fixture_db = ring_db
+    db = tmp_path / "wildfire.db"
+    shutil.copy(fixture_db, db)
+    split(2)
+    facts = _fixture_facts(ring, "ranking_california")
+    want = [run_plan(ring, f.plan, db).rows for f in facts]
+    writer = sqlite3.connect(db, timeout=0, isolation_level=None)
+    writer.execute("BEGIN IMMEDIATE")
+    writer.execute("INSERT INTO states (id, name) VALUES (3, 'Oregon')")
+    writer.execute("INSERT INTO wildfires (id, state_id, size_acres, year) "
+                   "VALUES (99, 3, 10.0, 2020)")
+    with closing(connect(db)) as conn:
+        got = [execute(compile_plan(ring, facts[0].plan), conn).rows]
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            writer.execute("COMMIT")
+        got += [execute(compile_plan(ring, f.plan), conn).rows
+                for f in facts[1:]]
+    writer.execute("COMMIT")  # once the report's connection is closed
+    writer.close()
+    assert got == want
+    assert [run_plan(ring, f.plan, db).rows for f in facts] != want
+
+
+def test_failed_range_names_its_statement_and_leaves_nothing_open(
+        ring, tmp_path, split, opened):
+    compiled = compile_plan(ring, _fixture_facts(
+        ring, "ranking_california")[0].plan)
+    db = tmp_path / "wildfire.db"
+    with closing(sqlite3.connect(db)) as conn:  # fires without a size
+        conn.executescript(
+            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);"
+            "CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
+            "INTEGER, year INTEGER);"
+            "INSERT INTO wildfires VALUES (1, 1, 2020), (2, 1, 2020);")
+    split(2)
+    threads = set(threading.enumerate())
+    with closing(connect(db)) as conn, \
+            pytest.raises(DbError, match="no such column") as err:
+        execute(compiled, conn)
+    (name, _, _), _ = compiled.materializations
+    assert err.value.sql.startswith(f"CREATE TEMP TABLE {name} AS\n")
+    assert "rowid BETWEEN" in err.value.sql
+    connections, closed = opened
+    assert len(connections) == 3  # the set-up's, the report's, one helper's
+    assert all(any(c is d for d in closed) for c in connections)
+    assert set(threading.enumerate()) == threads

@@ -176,3 +176,17 @@ def test_correlation_short_input_is_none():
 
     assert _correlation([1], [2]) is None
     assert _correlation([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+
+
+def test_result_that_is_not_a_return_is_rejected_like_the_compiler(ring,
+                                                                   dataset):
+    from aag.compiler import compile_plan
+    from aag.errors import UnsupportedPatternError
+
+    plan = plan_from_dict(_steps({
+        "V": {"op": "average", "args": ["|B|"]}}, "V"))
+    for evaluate in (lambda: oracle_eval(ring, plan, dataset),
+                     lambda: compile_plan(ring, plan)):
+        with pytest.raises(UnsupportedPatternError,
+                           match="must terminate in a materialization"):
+            evaluate()

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from . import registry
+from . import compiler, registry
 from .errors import ParseError, UnknownAttributeError, UnknownEntityError
-from .plans import SqrPlan, SqrStep, StepInfo, StepRef
+from .plans import Param, SqrPlan, SqrStep, StepInfo, StepRef, parse_arg
 from .ring import Ring
 from .statements import StatementTemplate, format_value, render_statement
 from .templates import PlanAnalyses, PlanTemplate, fill_template, load_templates
@@ -50,6 +50,36 @@ class ReportRequest:
     period_attribute: Optional[str] = None
     period_start: Any = None
     period_end: Any = None
+    # the fields that are values; so are the filters' values
+    _VALUES = ("target", "top_n", "benchmark", "period_start", "period_end")
+
+    def literals(self) -> dict[str, Any]:
+        """The values a report binds, by the name of their ``Param``."""
+        return {**{k: getattr(self, k) for k in self._VALUES},
+                **{f"filter{i}": f["value"] for i, f in enumerate(self.filters)}}
+
+    def mapped(self, fn) -> ReportRequest:
+        """This request with each value ``v``, named ``k``, as ``fn(k, v)``."""
+        return replace(self, **{k: fn(k, getattr(self, k)) for k in self._VALUES},
+                       filters=[dict(f, value=fn(f"filter{i}", f["value"]))
+                                for i, f in enumerate(self.filters)])
+
+    def shape(self) -> tuple:
+        """What the compiled queries depend on besides the ring: the request
+        with each value's kind for the value, and which values are equal
+        (``list.index`` compares them as plans do)."""
+        vals = list(self.literals().values())
+        return repr(self.mapped(lambda k, v: _kind(v))), \
+            tuple(map(vals.index, vals))
+
+
+def _kind(value) -> Any:
+    """A value's kind as a plan argument; a reference keeps its label."""
+    try:
+        arg = parse_arg(value)
+    except ParseError:
+        return "invalid", type(value)
+    return arg if isinstance(arg, StepRef) else type(arg)
 
 
 def parse_request(doc: Union[str, dict]) -> ReportRequest:
@@ -58,6 +88,8 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError("request document must be a JSON object")
     if doc.get("version") != REQUEST_FORMAT_VERSION:
         raise ParseError(
             f"unsupported request version: {doc.get('version')!r}")
@@ -72,6 +104,19 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
     if doc["aggregation"] not in registry.DERIVATION_AGGREGATIONS:
         raise ParseError(
             f"unsupported aggregation {doc['aggregation']!r}")
+    top_n, filters, period = (doc.get("top_n", 3), doc.get("filters", []),
+                              doc.get("period", {}))
+    for ok, rule in (  # a tuple of the ops, as an op may be unhashable
+            (type(top_n) is int and top_n >= 1, "'top_n' must be an integer "
+             "of at least 1"),
+            (isinstance(filters, list) and all(
+                isinstance(f, dict) and "attribute" in f and "value" in f
+                and f.get("op", "exact") in tuple(registry.REGISTRY)
+                for f in filters), "'filters' must be a list of objects with "
+             "an 'attribute', a 'value' and a known 'op'"),
+            (isinstance(period, dict), "'period' must be an object")):
+        if not ok:
+            raise ParseError(f"request {rule}")
     req = ReportRequest(
         report=doc["report"],
         entity=doc["entity"],
@@ -80,15 +125,13 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
         cohort_entity=cohort["entity"],
         cohort_key=cohort["key"],
         target=doc["target"],
-        filters=list(doc.get("filters", [])),
-        top_n=int(doc.get("top_n", 3)),
+        filters=list(filters),
+        top_n=top_n,
         benchmark=doc.get("benchmark"),
+        period_attribute=period.get("attribute"),
+        period_start=period.get("start"),
+        period_end=period.get("end"),
     )
-    if "period" in doc:
-        p = doc["period"]
-        req.period_attribute = p.get("attribute")
-        req.period_start = p.get("start")
-        req.period_end = p.get("end")
     if req.report == "comparative_benchmark" and req.benchmark is None:
         raise ParseError("comparative_benchmark requests need a 'benchmark'")
     if req.report == "time_over_time" and (
@@ -159,21 +202,6 @@ def builtin_templates() -> dict[str, PlanTemplate]:
 def build_member_plan(ring: Ring, request: ReportRequest,
                       extra_filters: Optional[list[dict]] = None) -> SqrPlan:
     """One row per cohort member: (key, aggregated metric), filters applied."""
-    entity = ring.entity(request.entity)
-    if entity is None:
-        raise UnknownEntityError(f"unknown entity {request.entity!r}")
-    if entity.attribute(request.metric) is None:
-        raise UnknownAttributeError(
-            f"entity {request.entity!r} has no attribute {request.metric!r}")
-    cohort = ring.entity(request.cohort_entity)
-    if cohort is None:
-        raise UnknownEntityError(
-            f"unknown entity {request.cohort_entity!r}")
-    if cohort.attribute(request.cohort_key) is None:
-        raise UnknownAttributeError(
-            f"entity {request.cohort_entity!r} has no attribute "
-            f"{request.cohort_key!r}")
-
     steps: dict[str, SqrStep] = {
         "A": SqrStep("A", "retrieve_entity", (request.entity,)),
         "B": SqrStep("B", "retrieve_attribute", (StepRef("A"), request.metric)),
@@ -211,16 +239,23 @@ def build_member_plan(ring: Ring, request: ReportRequest,
 @dataclass
 class Fact:
     id: str
-    template_id: str
-    plan: SqrPlan
     statement: StatementTemplate
     statement_inputs: dict[str, str]
+    plan: Optional[SqrPlan] = None  # from ``instantiate``
     info: Optional[dict[str, StepInfo]] = None  # the analysis of ``plan``
+    compiled: Optional[compiler.CompiledQuery] = None  # from compile_facts
     result: Optional[ResultSet] = None
     text: Optional[str] = None
 
 
 def _context(ring: Ring, request: ReportRequest) -> dict[str, Any]:
+    for entity, attr in ((request.entity, request.metric),
+                         (request.cohort_entity, request.cohort_key)):
+        if ring.entity(entity) is None:
+            raise UnknownEntityError(f"unknown entity {entity!r}")
+        if ring.attribute(entity, attr) is None:
+            raise UnknownAttributeError(
+                f"entity {entity!r} has no attribute {attr!r}")
     metric_attr = ring.attribute(request.entity, request.metric)
     agg = registry.get_signature(request.aggregation)
     cohort = ring.entity(request.cohort_entity)
@@ -271,27 +306,33 @@ def _resolve(spec: dict, request: ReportRequest, ctx: dict,
     raise ParseError(f"unsupported binding spec: {spec!r}")
 
 
+def _inputs(req: Requirement, request: ReportRequest, ctx: dict,
+            parts: dict[str, SqrPlan]) -> dict[str, str]:
+    return {name: str(_resolve(spec, request, ctx, parts))
+            for name, spec in req.statement_inputs.items()}
+
+
 def instantiate(ring: Ring, blueprint: Blueprint,
                 request: ReportRequest,
-                templates: Optional[dict[str, PlanTemplate]] = None
-                ) -> list[Fact]:
-    """Turn a request into one fully composed plan per requirement."""
+                templates: Optional[dict[str, PlanTemplate]] = None,
+                params: bool = False) -> list[Fact]:
+    """Turn a request into one fully composed plan per requirement; with
+    ``params``, each request value enters the plans as a ``Param``."""
     templates = templates or builtin_templates()
     ctx = _context(ring, request)
     analyze = PlanAnalyses(ring)  # each part is analyzed once per report
+    values = request.mapped(lambda k, v: v if v is None else Param(k, v)) \
+        if params else request
 
     parts: dict[str, SqrPlan] = {
-        "members": build_member_plan(ring, request),
+        "members": build_member_plan(ring, values),
     }
     if request.period_attribute is not None:
-        parts["members_start"] = build_member_plan(
-            ring, request,
-            [{"attribute": request.period_attribute, "op": "exact",
-              "value": request.period_start}])
-        parts["members_end"] = build_member_plan(
-            ring, request,
-            [{"attribute": request.period_attribute, "op": "exact",
-              "value": request.period_end}])
+        for part, value in (("members_start", values.period_start),
+                            ("members_end", values.period_end)):
+            parts[part] = build_member_plan(ring, values, [
+                {"attribute": request.period_attribute, "op": "exact",
+                 "value": value}])
 
     facts: list[Fact] = []
     for req in blueprint.requirements:
@@ -299,15 +340,38 @@ def instantiate(ring: Ring, blueprint: Blueprint,
             raise ParseError(f"blueprint requirement {req.id!r} names "
                              f"unknown template {req.template!r}")
         template = templates[req.template]
-        bindings = {name: _resolve(spec, request, ctx, parts)
+        bindings = {name: _resolve(spec, values, ctx, parts)
                     for name, spec in req.bindings.items()}
         plan = fill_template(ring, template, bindings, analyze)
-        inputs = {name: str(_resolve(spec, request, ctx, parts))
-                  for name, spec in req.statement_inputs.items()}
-        facts.append(Fact(id=req.id, template_id=req.template, plan=plan,
-                          statement=template.statement,
-                          statement_inputs=inputs, info=analyze(plan)))
+        facts.append(Fact(req.id, template.statement,
+                          _inputs(req, request, ctx, parts), plan=plan,
+                          info=analyze(plan)))
     return facts
+
+
+# compiled shapes kept per process (about 24 KB each), in order of use
+CACHE_SIZE = 128
+_compiled: dict = {}
+
+
+def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
+                  request: ReportRequest) -> list[Fact]:
+    """The request's facts, their queries compiled with ``Param`` slots once
+    per shape (ring text and ``ReportRequest.shape``) and bound to each
+    report's values: parametric query optimization (Ioannidis, Ng, Shim &
+    Sellis, VLDB 1992)."""
+    ctx = _context(ring, request)
+    key = ring_text, request.shape()
+    _compiled[key] = _compiled.pop(key, None) or [
+        (f.statement, compiler.compile_plan(ring, f.plan, f.info))
+        for f in instantiate(ring, blueprint, request, params=True)]
+    if len(_compiled) > CACHE_SIZE:  # drop the least recently used
+        del _compiled[next(iter(_compiled))]
+    values = request.literals()
+    return [Fact(req.id, statement, _inputs(req, request, ctx, {}),
+                 compiled=compiled.bind(values))
+            for req, (statement, compiled) in
+            zip(blueprint.requirements, _compiled[key])]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 when an input fails validation or execution,
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -45,8 +46,10 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text)
 
 
-def _load_ring_checked(ring_path: str):
-    ring = load_ring(ring_path)
+# parsed once per distinct ring text; treat the ring as read-only
+@functools.lru_cache(maxsize=bp.CACHE_SIZE)
+def _load_ring_checked(ring_path: str, text: str):
+    ring = load_ring(ring_path, text)
     violations = validate_ring(ring)
     if violations:
         for v in violations:
@@ -73,7 +76,7 @@ def ring():
 def ring_validate(ring_path: str, verbose: bool):
     """Validate a ring document; exit 1 if it has violations."""
     try:
-        r = _load_ring_checked(ring_path)
+        r = _load_ring_checked(ring_path, Path(ring_path).read_text())
     except AagError as e:
         click.echo(f"error: {e}", err=True)
         raise SystemExit(1)
@@ -103,7 +106,7 @@ def plan():
 def plan_run(ring_path: str, plan_path: str, out: str | None, verbose: bool):
     """Compile a plan to SQL, run it, and print the result table."""
     try:
-        r = _load_ring_checked(ring_path)
+        r = _load_ring_checked(ring_path, Path(ring_path).read_text())
         p = load_plan(plan_path)
         compiled = compiler.compile_plan(r, p)
         if verbose:
@@ -146,26 +149,27 @@ def report_generate(ring_path: str, request_path: str, mode: str,
                     verbose: bool):
     """Run a report request end to end (or stop at an intermediate stage)."""
     try:
-        r = _load_ring_checked(ring_path)
+        ring_text = Path(ring_path).read_text()
+        r = _load_ring_checked(ring_path, ring_text)
         request = bp.parse_request(Path(request_path).read_text())
         blueprint = bp.load_blueprint(request.report)
-        facts = bp.instantiate(r, blueprint, request)
 
         if mode == "plans":
+            facts = bp.instantiate(r, blueprint, request)
             doc = {f.id: plan_to_dict(f.plan) for f in facts}
             _emit(json.dumps(doc, indent=2), out)
             return
 
+        facts = bp.compile_facts(r, ring_text, blueprint, request)
         db = r.db_path(Path(ring_path).parent)
         # one connection per report: its facts share the TEMP tables on it
         with closing(compiler.connect(db)) as conn:
             for fact in facts:
-                compiled = compiler.compile_plan(r, fact.plan, fact.info)
                 if verbose:
                     click.echo(f"-- {fact.id}", err=True)
-                    for sql, params in compiled.statements():
+                    for sql, params in fact.compiled.statements():
                         click.echo(f"{sql}\n-- params: {params}", err=True)
-                fact.result = compiler.execute(compiled, conn)
+                fact.result = compiler.execute(fact.compiled, conn)
 
         if mode == "tables":
             pieces = [render_table(f.result, title=f.id) for f in facts]

@@ -28,7 +28,9 @@ Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
 joins. Every literal is bound once into its statement's parameter list and
 emitted as the numbered parameter ``?N`` (its 1-based position), so a
-compiled text that appears more than once reuses the same numbers. Median
+compiled text that appears more than once reuses the same numbers. A request
+value (a ``Param``) is a marked slot of the list: ``CompiledQuery.bind`` fills
+it and renames each TEMP table from its bound SQL and parameters. Median
 and string_agg are ordinary aggregates registered by ``connect``.
 """
 
@@ -47,7 +49,7 @@ from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
-from .plans import SqrPlan, StepInfo, StepRef, analyze_plan
+from .plans import Param, SqrPlan, StepInfo, StepRef, analyze_plan
 from .registry import REGISTRY
 from .ring import Ring
 from .types import ColumnMeta, DatetimeValue, ResultSet
@@ -77,6 +79,27 @@ class CompiledQuery:
                 for name, sql, params in self.materializations
                 ] + [(self.sql, self.params)]
 
+    def bind(self, values: dict) -> CompiledQuery:
+        """This query with its ``Param`` slots filled from ``values`` and its
+        TEMP tables named by their bound content, upstream first."""
+        names: dict[str, str] = {}
+
+        def bound(sql: str, params: list) -> tuple[str, list]:
+            for old, new in names.items():
+                sql = sql.replace(old, new)
+            return sql, [_sql_value(values[p.name]) if isinstance(p, Param)
+                         else p for p in params]
+
+        mats = []
+        for name, sql, params in self.materializations:
+            sql, params = bound(sql, params)
+            names[name] = _table_name(name[:2], sql, params)
+            mats.append((names[name], sql, params))
+        return CompiledQuery(
+            *bound(self.sql, self.params), self.output_columns,
+            [Subplan(names.get(s.name, s.name), s.kind) for s in self.subplans],
+            mats, {names[n]: r for n, r in self.ranged.items()})
+
 
 @dataclass
 class JoinResolution:
@@ -88,6 +111,17 @@ class JoinResolution:
 @lru_cache(maxsize=4096)
 def _q(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
+
+
+def _sql_value(value):
+    """A literal as it is bound: datetimes as their text, booleans as 0/1."""
+    if isinstance(value, DatetimeValue):
+        return value.iso
+    return int(value) if isinstance(value, bool) else value
+
+
+def _table_name(prefix: str, sql: str, params: list) -> str:
+    return prefix + hashlib.sha1(repr((sql, params)).encode()).hexdigest()[:16]
 
 
 def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
@@ -159,13 +193,10 @@ class _Compiler:
         self.ranged: dict[str, tuple[str, str]] = {}
 
     def bind(self, value) -> str:
-        """Append a literal to the statement's parameters; return its
-        ``?N``."""
-        if isinstance(value, DatetimeValue):
-            value = value.iso
-        elif isinstance(value, bool):
-            value = int(value)
-        self.params.append(value)
+        """Append a literal, or a request value's slot, to the statement's
+        parameters; return its ``?N``."""
+        self.params.append(value if isinstance(value, Param)
+                           else _sql_value(value))
         return f"?{len(self.params)}"
 
     def _new_cte(self, sql: str, kind: str) -> str:
@@ -231,8 +262,7 @@ class _Compiler:
                   key=None) -> str:
         """Add a TEMP table's statement, once per ``key`` (default: its
         name); return the name its content gives it."""
-        digest = hashlib.sha1(repr((sql, params)).encode()).hexdigest()
-        name = prefix + digest[:16]
+        name = _table_name(prefix, sql, params)
         self._mats.setdefault(key or name, (name, sql, params))
         return name
 
@@ -594,7 +624,8 @@ class _Region:
         sql_lines.append(self._order_clause())
         if ret.limit_label:
             n = self.c.plan.steps[ret.limit_label].args[0]
-            sql_lines.append(f"LIMIT {self.c.bind(int(n))}")
+            n = n if isinstance(n, Param) else int(n)
+            sql_lines.append(f"LIMIT {self.c.bind(n)}")
         return "\n".join(l for l in sql_lines if l)
 
     def _order_clause(self) -> str:

@@ -46,7 +46,14 @@ class SlotArg:
     name: str
 
 
-Arg = Union[StepRef, SlotArg, DatetimeValue, int, float, str, bool]
+@dataclass(frozen=True)
+class Param:
+    """A request value named for binding, typed and compared by value."""
+    name: str = field(compare=False)
+    value: Any
+
+
+Arg = Union[StepRef, SlotArg, Param, DatetimeValue, int, float, str, bool]
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,9 @@ class SqrPlan:
 
 
 def parse_arg(raw: Any, allow_slots: bool = False) -> Arg:
+    if isinstance(raw, Param):  # the value is parsed; a reference stays one
+        arg = parse_arg(raw.value, allow_slots)
+        return arg if isinstance(arg, StepRef) else Param(raw.name, arg)
     if isinstance(raw, bool) or isinstance(raw, (int, float)):
         return raw
     if isinstance(raw, str):
@@ -88,8 +98,6 @@ def parse_arg(raw: Any, allow_slots: bool = False) -> Arg:
 def serialize_arg(arg: Arg) -> Any:
     if isinstance(arg, StepRef):
         return f"|{arg.label}|"
-    if isinstance(arg, SlotArg):
-        return f"{{{arg.name}}}"
     if isinstance(arg, DatetimeValue):
         return arg.iso
     return arg
@@ -186,6 +194,8 @@ class StepInfo:
 
 
 def literal_types(arg: Arg) -> TypeSet:
+    if isinstance(arg, Param):
+        return literal_types(arg.value)
     if isinstance(arg, bool):
         return typeset(T.CATEGORICAL)
     if isinstance(arg, (int, float)):

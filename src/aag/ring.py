@@ -213,8 +213,9 @@ def ring_from_dict(doc: dict) -> Ring:
     )
 
 
-def load_ring(path: Union[str, Path]) -> Ring:
-    text = Path(path).read_text()
+def load_ring(path: Union[str, Path], text: Optional[str] = None) -> Ring:
+    """The ring document at ``path``, parsed from ``text`` when given."""
+    text = Path(path).read_text() if text is None else text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -3,15 +3,17 @@ import json
 
 import pytest
 
+from aag import blueprints
 from aag.blueprints import (
     build_prompt,
     builtin_templates,
+    compile_facts,
     instantiate,
     load_blueprint,
     parse_request,
     render_facts,
 )
-from aag.compiler import run_plan
+from aag.compiler import compile_plan, run_plan
 from aag.errors import ParseError
 from aag.plans import plan_to_dict
 
@@ -185,3 +187,70 @@ def test_build_prompt_requires_facts(ring, templates):
     blueprint, facts = _facts(ring, "ranking_california", templates)
     with pytest.raises(EmptyFactsError):
         build_prompt(blueprint, facts)  # nothing rendered yet
+
+
+# ---------------------------------------------------------------------------
+# compiled shapes
+
+
+def _varied_requests(rotation):
+    """Requests over every report type, four aggregations and the filter
+    operations, with value kinds and equalities a shape tells apart; each
+    pair of value rows is one shape, so odd rotations repeat the shapes of
+    even ones with other values."""
+    values = [("California", 2019, 2020, 10.5), ("Nevada", 2018, 2021, 2.5),
+              ("Oregon", 2020, 2020, 0), ("California", 2019, 2019, 7),
+              ("Nevada", "2019", 2020, 2.5), ("Oregon", "2020", 2021, 10.5),
+              ("California", 2019.0, 2020, 1000), ("Nevada", 2020.0, 2021, 5),
+              ("2020-01-01", 2018, 2018.0, 1000), ("2019-06-30", 2019, 2019.0,
+                                                   30)]
+    for i, (report, aggregation, op) in enumerate(
+            (r, a, o) for r in ("ranking", "comparative_benchmark",
+                                "time_over_time")
+            for a in ("average", "count", "median", "standard_deviation")
+            for o in (None, "greater_than", "less_than")):
+        target, start, end, threshold = values[2 * (i % 5) + rotation % 2]
+        yield {"version": "report_request_v1", "report": report,
+               "entity": "Wildfire", "metric": "size",
+               "aggregation": aggregation,
+               "cohort": {"entity": "State", "key": "name"},
+               "target": target, "top_n": 1 + (i + rotation) % 3,
+               "benchmark": threshold,
+               "filters": [{"attribute": "size", "op": op,
+                            "value": threshold}] if op else [],
+               "period": {"attribute": "year", "start": start, "end": end}}
+
+
+def test_bound_shapes_equal_direct_compiles(ring, monkeypatch):
+    monkeypatch.setattr(blueprints, "_compiled", type(blueprints._compiled)())
+    hits = 0
+    for rotation in range(3):
+        for doc in _varied_requests(rotation):
+            request = parse_request(doc)
+            blueprint = load_blueprint(request.report)
+            hits += (ring.name, request.shape()) in blueprints._compiled
+            got = compile_facts(ring, ring.name, blueprint, request)
+            want = instantiate(ring, blueprint, request)
+            assert [f.id for f in got] == [f.id for f in want]
+            assert [f.statement_inputs for f in got] == \
+                [f.statement_inputs for f in want]
+            # SQL, parameters and TEMP table names, as compiled uncached
+            assert [f.compiled for f in got] == \
+                [compile_plan(ring, f.plan, f.info) for f in want], doc
+    assert hits == 2 * 36
+
+
+def test_shape_tells_value_kinds_and_equalities_apart():
+    doc = next(_varied_requests(0))
+
+    def shape(**change):
+        return parse_request(dict(doc, **change)).shape()
+
+    period = {"attribute": "year", "start": 2019, "end": 2020}
+    assert shape(target="Nevada", period=dict(period, end=2021)) == shape()
+    assert shape(period=dict(period, start="2019")) != shape()
+    assert shape(period=dict(period, start=2019.0)) != shape()
+    assert shape(period=dict(period, start=2020)) != shape()
+    assert shape(target="2020-01-01") != shape()
+    assert shape(filters=[{"attribute": "size", "value": "10"}]) != \
+        shape(filters=[{"attribute": "size", "value": 10}])

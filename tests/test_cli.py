@@ -223,11 +223,12 @@ def test_report_analyzes_each_plan_once(runner, cli_ring_path, monkeypatch,
     instantiate = blueprints.instantiate
     facts = []
 
-    def kept(*args):
-        facts.extend(instantiate(*args))
+    def kept(*args, **kwargs):
+        facts.extend(instantiate(*args, **kwargs))
         return facts
 
     monkeypatch.setattr(blueprints, "instantiate", kept)
+    blueprints._compiled.clear()  # a cached shape would skip the analyses
     request = FIXTURES / "requests" / f"{name}.json"
     result = _run(runner, "report", "generate", "--ring", str(cli_ring_path),
                   "--request", str(request), "--mode", "statements")
@@ -235,6 +236,173 @@ def test_report_analyzes_each_plan_once(runner, cli_ring_path, monkeypatch,
     # one analysis per fact, plus one per member part the facts share
     parts = 3 if "period" in json.loads(request.read_text()) else 1
     assert len(facts) < len(calls) <= len(facts) + parts
+
+
+def _request_doc(report, aggregation="average", target="California",
+                 filters=(), period=(2019, 2020)):
+    return {"version": "report_request_v1", "report": report,
+            "entity": "Wildfire", "metric": "size", "aggregation": aggregation,
+            "cohort": {"entity": "State", "key": "name"}, "target": target,
+            "filters": list(filters), "top_n": 2, "benchmark": 180,
+            "period": {"attribute": "year", "start": period[0],
+                       "end": period[1]}}
+
+
+AGGREGATIONS = ("average", "count", "count_unique", "max", "median", "min",
+                "standard_deviation", "sum")
+# start < end, start == end, a string and a float start: per shift, the
+# same kinds and equalities with other values
+PERIODS = (((2019, 2020), (2018, 2020)), ((2020, 2020), (2019, 2019)),
+           (("2019", 2020), ("2018", 2020)), ((2019.0, 2020), (2018.0, 2020)))
+
+
+def _shape_sequence(shift):
+    """3 report types x 8 aggregations x {no filter, >, <}, with targets
+    and periods rotating; ``shift`` changes the values, not the shapes."""
+    i = 0
+    for report in ("ranking", "comparative_benchmark", "time_over_time"):
+        for aggregation in AGGREGATIONS:
+            for op, value in ((None, None), ("greater_than", (10.5, 5.5)),
+                              ("less_than", (1000, 2000))):
+                i += 1
+                filters = [{"attribute": "size", "op": op,
+                            "value": value[shift]}] if op else []
+                yield _request_doc(
+                    report, aggregation,
+                    ("California", "Nevada", "Oregon")[(i + shift) % 3],
+                    filters, PERIODS[i % 4][shift])
+
+
+def _report_outputs(runner, ring, request, clear):
+    """--verbose stderr and --mode statements, then --mode tables."""
+    outputs = []
+    for extra in (["--mode", "statements", "--verbose"], ["--mode", "tables"]):
+        if clear:
+            blueprints._compiled.clear()
+        result = runner.invoke(main, ["report", "generate", "--ring", ring,
+                                      "--request", request, *extra],
+                               catch_exceptions=False)
+        outputs.append((result.exit_code, result.stdout, result.stderr))
+    return outputs
+
+
+def test_cached_shapes_report_as_uncached_ones(runner, cli_ring_path,
+                                               tmp_path):
+    request = tmp_path / "request.json"
+    # each shape twice, with other values: the second pass is all hits
+    docs = [*_shape_sequence(0), *_shape_sequence(1)]
+    outputs = {}
+    for clear in (False, True):
+        blueprints._compiled.clear()
+        outputs[clear] = []
+        for doc in docs:
+            request.write_text(json.dumps(doc))
+            outputs[clear].append(_report_outputs(
+                runner, str(cli_ring_path), str(request), clear))
+    assert len(blueprints._compiled) == 1
+    assert outputs[False] == outputs[True]
+    assert sum(code == 0 for outs in outputs[False] for code, _, _ in outs) \
+        > 150
+    assert any("m_" in err for outs in outputs[False] for _, _, err in outs)
+
+
+def test_cache_hit_skips_fill_analyze_and_compile(runner, cli_ring_path,
+                                                  monkeypatch, tmp_path):
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (plans, templates, compiler):
+        counted(module, "analyze_plan")
+    counted(blueprints, "fill_template")
+    counted(compiler, "compile_plan")
+    request = tmp_path / "request.json"
+    args = ["report", "generate", "--ring", str(cli_ring_path),
+            "--request", str(request), "--mode", "statements"]
+    blueprints._compiled.clear()
+    request.write_text(json.dumps(_request_doc("time_over_time")))
+    first = _run(runner, *args).output
+    assert {"analyze_plan", "fill_template", "compile_plan"} <= set(calls)
+    calls.clear()
+    # the same shape: another target and period, the same kinds
+    request.write_text(json.dumps(_request_doc(
+        "time_over_time", target="Nevada", period=(2018, 2021))))
+    second = _run(runner, *args).output
+    assert calls == [] and second != first
+    # equal start and end are another shape: one member plan, not two
+    request.write_text(json.dumps(_request_doc(
+        "time_over_time", period=(2020, 2020))))
+    assert _run(runner, *args).exit_code == 0
+    assert "compile_plan" in calls and len(blueprints._compiled) == 2
+    # a string where a number was is another shape: it fails as uncached
+    for value, code in ((10.5, 0), ("10.5", 1)):
+        request.write_text(json.dumps(_request_doc("ranking", filters=[
+            {"attribute": "size", "op": "greater_than", "value": value}])))
+        assert _run(runner, *args).exit_code == code
+
+
+def test_cache_keeps_at_most_its_bound(runner, cli_ring_path, monkeypatch,
+                                       tmp_path):
+    monkeypatch.setattr(blueprints, "CACHE_SIZE", 3)
+    blueprints._compiled.clear()
+    request = tmp_path / "request.json"
+    for aggregation in AGGREGATIONS[:5]:
+        request.write_text(json.dumps(_request_doc("ranking", aggregation)))
+        assert _run(runner, "report", "generate", "--ring",
+                    str(cli_ring_path), "--request", str(request),
+                    "--mode", "statements").exit_code == 0
+        assert len(blueprints._compiled) <= 3
+    # the least recently used shapes went first
+    kept = [shape for _, (shape, _) in blueprints._compiled]
+    assert [a for shape in kept for a in AGGREGATIONS
+            if f"aggregation={a!r}" in shape] == list(AGGREGATIONS[2:5])
+
+
+def test_rewritten_ring_reports_as_a_fresh_process(runner, cli_ring_path,
+                                                   tmp_path):
+    ring, _ = _private_copy(cli_ring_path, tmp_path)
+    args = ["report", "generate", "--ring", str(ring), "--request", RANKING,
+            "--mode", "statements"]
+    before = _run(runner, *args).output
+    ring.write_text(ring.read_text().replace('["state", "states"]',
+                                             '["province", "provinces"]'))
+    after = _run(runner, *args).output
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "aag.cli", *args], env=env,
+                           check=True, capture_output=True, text=True).stdout
+    assert after == fresh != before
+    assert "provinces" in after
+
+
+@pytest.mark.parametrize("change", [
+    {"top_n": "x"}, {"top_n": -1}, {"top_n": 2.7}, {"top_n": True},
+    {"filters": [{"op": "exact", "value": 1}]},
+    {"filters": [{"attribute": "size", "op": "exact"}]},
+    {"filters": [{"attribute": "size", "op": "bogus", "value": 1}]},
+    {"filters": "abc"}, {"period": 5}, None,
+], ids=["top_n_text", "top_n_negative", "top_n_float", "top_n_bool",
+        "filter_without_attribute", "filter_without_value", "unknown_op",
+        "filters_not_a_list", "period_not_an_object", "array_request"])
+def test_report_rejects_malformed_request(runner, cli_ring_path, tmp_path,
+                                          change):
+    doc = json.loads((FIXTURES / "requests" / "ranking_california.json")
+                     .read_text())
+    request = tmp_path / "req.json"
+    request.write_text(json.dumps([doc] if change is None
+                                  else dict(doc, **change)))
+    result = runner.invoke(main, ["report", "generate", "--ring",
+                                  str(cli_ring_path), "--request",
+                                  str(request), "--mode", "statements"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
 
 
 def test_report_plans_mode_rejects_average_of_year(runner, cli_ring_path,

@@ -16,7 +16,8 @@ from typing import Any, Optional, Union
 
 from . import compiler, registry
 from .errors import ParseError, UnknownAttributeError, UnknownEntityError
-from .plans import Param, SqrPlan, SqrStep, StepInfo, StepRef, parse_arg
+from .plans import (Param, SqrPlan, SqrStep, StepInfo, StepRef, parse_literal,
+                    serialize_arg)
 from .ring import Ring
 from .statements import StatementTemplate, format_value, render_statement
 from .templates import PlanAnalyses, PlanTemplate, fill_template, load_templates
@@ -50,7 +51,7 @@ class ReportRequest:
     period_attribute: Optional[str] = None
     period_start: Any = None
     period_end: Any = None
-    # the fields that are values; so are the filters' values
+    # the fields that are values, parsed literals; so are the filters' values
     _VALUES = ("target", "top_n", "benchmark", "period_start", "period_end")
 
     def literals(self) -> dict[str, Any]:
@@ -59,27 +60,20 @@ class ReportRequest:
                 **{f"filter{i}": f["value"] for i, f in enumerate(self.filters)}}
 
     def mapped(self, fn) -> ReportRequest:
-        """This request with each value ``v``, named ``k``, as ``fn(k, v)``."""
-        return replace(self, **{k: fn(k, getattr(self, k)) for k in self._VALUES},
+        """This request with each value ``v`` that is given, named ``k``, as
+        ``fn(k, v)``."""
+        return replace(self, **{k: fn(k, v) for k in self._VALUES
+                                if (v := getattr(self, k)) is not None},
                        filters=[dict(f, value=fn(f"filter{i}", f["value"]))
                                 for i, f in enumerate(self.filters)])
 
     def shape(self) -> tuple:
         """What the compiled queries depend on besides the ring: the request
-        with each value's kind for the value, and which values are equal
+        with each value's type for the value, and which values are equal
         (``list.index`` compares them as plans do)."""
         vals = list(self.literals().values())
-        return repr(self.mapped(lambda k, v: _kind(v))), \
+        return repr(self.mapped(lambda k, v: type(v))), \
             tuple(map(vals.index, vals))
-
-
-def _kind(value) -> Any:
-    """A value's kind as a plan argument; a reference keeps its label."""
-    try:
-        arg = parse_arg(value)
-    except ParseError:
-        return "invalid", type(value)
-    return arg if isinstance(arg, StepRef) else type(arg)
 
 
 def parse_request(doc: Union[str, dict]) -> ReportRequest:
@@ -101,9 +95,6 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
     if not isinstance(cohort, dict) or "entity" not in cohort \
             or "key" not in cohort:
         raise ParseError("request 'cohort' needs 'entity' and 'key'")
-    if doc["aggregation"] not in registry.DERIVATION_AGGREGATIONS:
-        raise ParseError(
-            f"unsupported aggregation {doc['aggregation']!r}")
     top_n, filters, period = (doc.get("top_n", 3), doc.get("filters", []),
                               doc.get("period", {}))
     for ok, rule in (  # a tuple of the ops, as an op may be unhashable
@@ -117,6 +108,15 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
             (isinstance(period, dict), "'period' must be an object")):
         if not ok:
             raise ParseError(f"request {rule}")
+    if not all(isinstance(name, str) for name in (
+            doc["report"], doc["entity"], doc["metric"], doc["aggregation"],
+            cohort["entity"], cohort["key"], period.get("attribute", ""),
+            *(f["attribute"] for f in filters))):
+        raise ParseError("request names (of the report, entity, metric, "
+                         "aggregation and attributes) must be strings")
+    if doc["aggregation"] not in registry.DERIVATION_AGGREGATIONS:
+        raise ParseError(
+            f"unsupported aggregation {doc['aggregation']!r}")
     req = ReportRequest(
         report=doc["report"],
         entity=doc["entity"],
@@ -131,12 +131,11 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
         period_attribute=period.get("attribute"),
         period_start=period.get("start"),
         period_end=period.get("end"),
-    )
+    ).mapped(lambda name, value: parse_literal(value))
     if req.report == "comparative_benchmark" and req.benchmark is None:
         raise ParseError("comparative_benchmark requests need a 'benchmark'")
-    if req.report == "time_over_time" and (
-            req.period_attribute is None or req.period_start is None
-            or req.period_end is None):
+    if req.report == "time_over_time" and None in (
+            req.period_attribute, req.period_start, req.period_end):
         raise ParseError("time_over_time requests need a full 'period'")
     return req
 
@@ -212,18 +211,14 @@ def build_member_plan(ring: Ring, request: ReportRequest,
         "V": SqrStep("V", request.aggregation, (StepRef("B"), StepRef("G"))),
         "L": SqrStep("L", "collect", (StepRef("D"), StepRef("V"))),
     }
-    filters = list(request.filters) + list(extra_filters or [])
     filter_refs: list[StepRef] = []
-    for i, f in enumerate(filters):
-        attr_label = f"FA{i}"
-        cond_label = f"FC{i}"
-        steps[attr_label] = SqrStep(
-            attr_label, "retrieve_attribute",
-            (StepRef("A"), f["attribute"]))
-        op = f.get("op", "exact")
-        steps[cond_label] = SqrStep(
-            cond_label, op, (StepRef(attr_label), f["value"]))
-        filter_refs.append(StepRef(cond_label))
+    for i, f in enumerate(request.filters + (extra_filters or [])):
+        attr, cond = f"FA{i}", f"FC{i}"
+        steps[attr] = SqrStep(attr, "retrieve_attribute",
+                              (StepRef("A"), f["attribute"]))
+        steps[cond] = SqrStep(cond, f.get("op", "exact"),
+                              (StepRef(attr), f["value"]))
+        filter_refs.append(StepRef(cond))
     if len(filter_refs) > 1:
         steps["FX"] = SqrStep("FX", "and", tuple(filter_refs))
         filter_refs = [StepRef("FX")]
@@ -272,15 +267,14 @@ def _context(ring: Ring, request: ReportRequest) -> dict[str, Any]:
         "cohort_plural": cohort.nicename[1],
     }
     if request.benchmark is not None:
-        ctx["benchmark_text"] = format_value(request.benchmark,
+        ctx["benchmark_text"] = format_value(serialize_arg(request.benchmark),
                                              metric_attr.units)
     if request.period_attribute is not None:
-        ctx["period_a"] = str(request.period_start)
-        ctx["period_b"] = str(request.period_end)
-        ctx["period_a_phrase"] = f"in {request.period_start}"
-        ctx["period_b_phrase"] = f"in {request.period_end}"
-        ctx["metric_name_start"] = f"{metric_name} in {request.period_start}"
-        ctx["metric_name_end"] = f"{metric_name} in {request.period_end}"
+        for ab, end in (("a", "start"), ("b", "end")):
+            when = serialize_arg(getattr(request, f"period_{end}"))
+            ctx[f"period_{ab}"] = str(when)
+            ctx[f"period_{ab}_phrase"] = f"in {when}"
+            ctx[f"metric_name_{end}"] = f"{metric_name} in {when}"
     return ctx
 
 
@@ -301,32 +295,27 @@ def _resolve(spec: dict, request: ReportRequest, ctx: dict,
             raise ParseError(f"blueprint references unknown value "
                              f"{spec['ref']!r}")
         return ctx[spec["ref"]]
-    if "literal" in spec:
-        return spec["literal"]
     raise ParseError(f"unsupported binding spec: {spec!r}")
 
 
 def _inputs(req: Requirement, request: ReportRequest, ctx: dict,
             parts: dict[str, SqrPlan]) -> dict[str, str]:
-    return {name: str(_resolve(spec, request, ctx, parts))
+    return {name: str(serialize_arg(_resolve(spec, request, ctx, parts)))
             for name, spec in req.statement_inputs.items()}
 
 
 def instantiate(ring: Ring, blueprint: Blueprint,
                 request: ReportRequest,
-                templates: Optional[dict[str, PlanTemplate]] = None,
-                params: bool = False) -> list[Fact]:
-    """Turn a request into one fully composed plan per requirement; with
-    ``params``, each request value enters the plans as a ``Param``."""
+                templates: Optional[dict[str, PlanTemplate]] = None
+                ) -> list[Fact]:
+    """Turn a request into one fully composed plan per requirement; each
+    request value enters the plans as a ``Param``."""
     templates = templates or builtin_templates()
     ctx = _context(ring, request)
     analyze = PlanAnalyses(ring)  # each part is analyzed once per report
-    values = request.mapped(lambda k, v: v if v is None else Param(k, v)) \
-        if params else request
+    values = request.mapped(Param)
 
-    parts: dict[str, SqrPlan] = {
-        "members": build_member_plan(ring, values),
-    }
+    parts = {"members": build_member_plan(ring, values)}
     if request.period_attribute is not None:
         for part, value in (("members_start", values.period_start),
                             ("members_end", values.period_end)):
@@ -363,8 +352,8 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
     ctx = _context(ring, request)
     key = ring_text, request.shape()
     _compiled[key] = _compiled.pop(key, None) or [
-        (f.statement, compiler.compile_plan(ring, f.plan, f.info))
-        for f in instantiate(ring, blueprint, request, params=True)]
+        (f.statement, compiler.compile_plan(ring, f.plan, f.info).shape)
+        for f in instantiate(ring, blueprint, request)]
     if len(_compiled) > CACHE_SIZE:  # drop the least recently used
         del _compiled[next(iter(_compiled))]
     values = request.literals()

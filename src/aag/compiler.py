@@ -30,8 +30,9 @@ joins. Every literal is bound once into its statement's parameter list and
 emitted as the numbered parameter ``?N`` (its 1-based position), so a
 compiled text that appears more than once reuses the same numbers. A request
 value (a ``Param``) is a marked slot of the list: ``CompiledQuery.bind`` fills
-it and renames each TEMP table from its bound SQL and parameters. Median
-and string_agg are ordinary aggregates registered by ``connect``.
+it with the plan's own value or another and renames each TEMP table from its
+bound SQL and parameters. Median and string_agg are ordinary aggregates
+registered by ``connect``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class CompiledQuery:
     materializations: list = field(default_factory=list)
     # partial table -> (fact table, its SQL restricted to rowids ?N+1..?N+2)
     ranged: dict = field(default_factory=dict)
+    # the query as compiled, with the ``Param`` slots that ``bind`` fills
+    shape: Optional[CompiledQuery] = field(default=None, compare=False,
+                                           repr=False)
 
     def statements(self) -> list[tuple[str, list]]:
         """What ``execute`` runs, in order: (sql, params) pairs; a large
@@ -79,26 +83,28 @@ class CompiledQuery:
                 for name, sql, params in self.materializations
                 ] + [(self.sql, self.params)]
 
-    def bind(self, values: dict) -> CompiledQuery:
-        """This query with its ``Param`` slots filled from ``values`` and its
-        TEMP tables named by their bound content, upstream first."""
+    def bind(self, values: Optional[dict] = None) -> CompiledQuery:
+        """This query's shape with its ``Param`` slots filled from ``values``
+        (by default, each slot's own value) and its TEMP tables named by
+        their bound content, upstream first."""
+        shape = self.shape or self
         names: dict[str, str] = {}
 
         def bound(sql: str, params: list) -> tuple[str, list]:
             for old, new in names.items():
                 sql = sql.replace(old, new)
-            return sql, [_sql_value(values[p.name]) if isinstance(p, Param)
-                         else p for p in params]
+            return sql, [p if not isinstance(p, Param) else _sql_value(
+                p.value if values is None else values[p.name]) for p in params]
 
         mats = []
-        for name, sql, params in self.materializations:
+        for name, sql, params in shape.materializations:
             sql, params = bound(sql, params)
             names[name] = _table_name(name[:2], sql, params)
             mats.append((names[name], sql, params))
         return CompiledQuery(
-            *bound(self.sql, self.params), self.output_columns,
-            [Subplan(names.get(s.name, s.name), s.kind) for s in self.subplans],
-            mats, {names[n]: r for n, r in self.ranged.items()})
+            *bound(shape.sql, shape.params), shape.output_columns,
+            [Subplan(names.get(s.name, s.name), s.kind) for s in shape.subplans],
+            mats, {names[n]: r for n, r in shape.ranged.items()}, shape)
 
 
 @dataclass
@@ -650,8 +656,9 @@ class _Region:
 
 def compile_plan(ring: Ring, plan: SqrPlan,
                  info: Optional[dict[str, StepInfo]] = None) -> CompiledQuery:
-    """``info``, when given, is the analysis of ``plan`` to compile with."""
-    return _Compiler(ring, plan, info).compile()
+    """``plan``'s query, bound to its own values; ``info``, when given, is
+    the analysis of ``plan`` to compile with."""
+    return _Compiler(ring, plan, info).compile().bind()
 
 
 # rowid span per range of a partial table's build: two ranges break even

@@ -19,7 +19,7 @@ from typing import Union
 
 from . import constants
 from .errors import UnsupportedPatternError
-from .plans import SqrPlan, StepInfo, StepRef, analyze_plan
+from .plans import Param, SqrPlan, StepInfo, StepRef, analyze_plan
 from .ring import Ring
 from .types import DatetimeValue, ResultSet
 
@@ -98,6 +98,7 @@ def _correlation(xs: list, ys: list):
 
 
 def _norm(v):
+    v = v.value if isinstance(v, Param) else v
     return v.iso if isinstance(v, DatetimeValue) else v
 
 
@@ -465,5 +466,5 @@ class _Evaluator:
             rows = sorted(rows, key=lambda r: tuple(_sort_key(v) for v in r))
         if ret.limit_label:
             n = self.plan.steps[ret.limit_label].args[0]
-            rows = rows[: int(n)]
+            rows = rows[: int(_norm(n))]
         return list(rows)

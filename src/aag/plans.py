@@ -11,6 +11,8 @@ A plan document is JSON:
 Step arguments are either references to other steps (written ``"|A|"``),
 literals (numbers, strings, booleans; ISO-8601 strings are tagged as
 datetimes), or -- in templates only -- slot placeholders (``"{name}"``).
+A request value enters a plan as a ``Param``: a literal named for binding,
+compared (whatever its name), typed and serialized by its value.
 
 ``analyze_plan`` infers, for every step, its output kind set plus the
 presentation metadata (output name, nicename, units) and, for materialization
@@ -48,7 +50,7 @@ class SlotArg:
 
 @dataclass(frozen=True)
 class Param:
-    """A request value named for binding, typed and compared by value."""
+    """A request value: a parsed literal named for binding."""
     name: str = field(compare=False)
     value: Any
 
@@ -77,25 +79,28 @@ class SqrPlan:
 
 
 def parse_arg(raw: Any, allow_slots: bool = False) -> Arg:
-    if isinstance(raw, Param):  # the value is parsed; a reference stays one
-        arg = parse_arg(raw.value, allow_slots)
-        return arg if isinstance(arg, StepRef) else Param(raw.name, arg)
-    if isinstance(raw, bool) or isinstance(raw, (int, float)):
+    ends = raw[0] + raw[-1] if isinstance(raw, str) and len(raw) > 2 else ""
+    if ends == "||":
+        return StepRef(raw[1:-1])
+    if ends == "{}" and allow_slots:
+        return SlotArg(raw[1:-1])
+    return parse_literal(raw)
+
+
+def parse_literal(raw: Any) -> Arg:
+    """A JSON scalar as a literal; a string written as a reference or a slot
+    (``"|A|"``, ``"{name}"``) is not one."""
+    if isinstance(raw, (bool, int, float)):
         return raw
-    if isinstance(raw, str):
-        if len(raw) > 2 and raw.startswith("|") and raw.endswith("|"):
-            return StepRef(raw[1:-1])
-        if len(raw) > 2 and raw.startswith("{") and raw.endswith("}"):
-            if not allow_slots:
-                raise ParseError(f"slot placeholder {raw!r} is not valid in a plan")
-            return SlotArg(raw[1:-1])
-        if DatetimeValue.matches(raw):
-            return DatetimeValue(raw)
-        return raw
-    raise ParseError(f"unsupported argument value: {raw!r}")
+    if not isinstance(raw, str):
+        raise ParseError(f"{raw!r} is not a literal: a number, string or bool")
+    if len(raw) > 2 and raw[0] + raw[-1] in ("||", "{}"):
+        raise ParseError(f"{raw!r} is written as a reference or a slot")
+    return DatetimeValue(raw) if DatetimeValue.matches(raw) else raw
 
 
 def serialize_arg(arg: Arg) -> Any:
+    arg = arg.value if isinstance(arg, Param) else arg
     if isinstance(arg, StepRef):
         return f"|{arg.label}|"
     if isinstance(arg, DatetimeValue):

@@ -7,7 +7,8 @@ A template is a plan skeleton whose arguments may be slot placeholders
   reference to that plan's terminal step after composition.
 * ``filter`` -- same mechanics, but the bound plan's terminal must produce a
   filter condition.
-* ``literal`` -- bound to a scalar value, substituted in place.
+* ``literal`` -- bound to a value (a column name, or a request value's
+  ``Param``), substituted in place as it is.
 
 Composition merges the bound plans into the skeleton under unique label
 prefixes so that independently-authored parts can never collide.
@@ -34,9 +35,7 @@ from .plans import (
     StepRef,
     analyze_plan,
     ensure_no_dead_steps,
-    parse_arg,
     plan_from_dict,
-    serialize_arg,
 )
 from .statements import StatementTemplate, statement_template_from_dict
 from .types import AttributeType, TypeSet
@@ -175,13 +174,9 @@ def compose_plans(template_plan: SqrPlan, parts: list[SqrPlan],
 
 
 def _substitute_literals(plan: SqrPlan, values: dict[str, Any]) -> SqrPlan:
-    def sub(arg):
-        if isinstance(arg, SlotArg) and arg.name in values:
-            return parse_arg(serialize_arg(values[arg.name]))
-        return arg
-
-    steps = {label: SqrStep(label, s.op, tuple(sub(a) for a in s.args))
-             for label, s in plan.steps.items()}
+    steps = {label: SqrStep(label, s.op, tuple(
+        values.get(a.name, a) if isinstance(a, SlotArg) else a for a in s.args))
+        for label, s in plan.steps.items()}
     # nothing bound: keep the object, and with it its analysis
     return plan if steps == plan.steps else SqrPlan(steps, plan.result)
 

@@ -15,7 +15,8 @@ from aag.blueprints import (
 )
 from aag.compiler import compile_plan, run_plan
 from aag.errors import ParseError
-from aag.plans import plan_to_dict
+from aag.plans import Param, plan_to_dict
+from aag.types import DatetimeValue
 
 from conftest import load_fixture_request
 
@@ -103,6 +104,42 @@ def test_requirement_counts(ring, templates, name, count):
     _, facts = _facts(ring, name, templates)
     assert len(facts) == count
     assert len({f.id for f in facts}) == count
+
+
+def test_request_values_enter_plans_as_params(ring, templates):
+    request = _request("time_over_time_california")
+    for fact in instantiate(ring, load_blueprint(request.report), request,
+                            templates):
+        args = [a for s in fact.plan.steps.values() for a in s.args]
+        params = {a.name: a.value for a in args if isinstance(a, Param)}
+        assert params and params.items() <= request.literals().items()
+        # a plain literal never compares equal to a Param
+        assert not {"California", 2019, 2020} & set(args)
+
+
+def test_parse_request_reads_each_value_once_as_a_literal():
+    doc = json.loads(load_fixture_request("time_over_time_california"))
+    req = parse_request(dict(doc, target="2020-01-01", filters=[
+        {"attribute": "year", "value": "2019-06-30"}]))
+    assert req.target == DatetimeValue("2020-01-01")
+    assert req.filters == [{"attribute": "year", "value":
+                            DatetimeValue("2019-06-30")}]
+    assert (req.period_start, req.period_end) == (2019, 2020)
+
+
+@pytest.mark.parametrize("change", [
+    {"period": {"attribute": "year", "start": {}, "end": 2020}},
+    {"period": {"attribute": "year", "start": "{x}", "end": 2020}},
+    {"filters": [{"attribute": "year", "value": None}]},
+    {"metric": 1}, {"aggregation": []},
+    {"cohort": {"entity": "State", "key": 1}},
+    {"filters": [{"attribute": 3, "value": 1}]},
+    {"period": {"attribute": 7, "start": 2019, "end": 2020}},
+])
+def test_parse_request_rejects_values_and_names_of_the_wrong_kind(change):
+    doc = json.loads(load_fixture_request("time_over_time_california"))
+    with pytest.raises(ParseError, match="literal|reference|argument|names"):
+        parse_request(dict(doc, **change))
 
 
 def test_unknown_report_type():

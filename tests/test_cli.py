@@ -386,9 +386,15 @@ def test_rewritten_ring_reports_as_a_fresh_process(runner, cli_ring_path,
     {"filters": [{"attribute": "size", "op": "exact"}]},
     {"filters": [{"attribute": "size", "op": "bogus", "value": 1}]},
     {"filters": "abc"}, {"period": 5}, None,
+    {"target": "|A|"},
+    {"report": "comparative_benchmark", "benchmark": "|B|"},
+    {"filters": [{"attribute": "size", "op": "exact", "value": "|A|"}]},
+    {"target": "{x}"}, {"target": [1]}, {"report": []}, {"entity": {}},
 ], ids=["top_n_text", "top_n_negative", "top_n_float", "top_n_bool",
         "filter_without_attribute", "filter_without_value", "unknown_op",
-        "filters_not_a_list", "period_not_an_object", "array_request"])
+        "filters_not_a_list", "period_not_an_object", "array_request",
+        "target_reference", "benchmark_reference", "filter_value_reference",
+        "target_slot", "target_list", "report_list", "entity_object"])
 def test_report_rejects_malformed_request(runner, cli_ring_path, tmp_path,
                                           change):
     doc = json.loads((FIXTURES / "requests" / "ranking_california.json")
@@ -403,6 +409,36 @@ def test_report_rejects_malformed_request(runner, cli_ring_path, tmp_path,
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name, change", [
+    ("ranking_california", {}), ("benchmark_california", {}),
+    ("time_over_time_california", {}),
+    ("ranking_california", {"target": "2020-01-01", "filters": [
+        {"attribute": "size", "op": "greater_than", "value": 10.5}]}),
+])
+def test_plans_mode_plans_run_as_their_tables(runner, cli_ring_path,
+                                              tmp_path, name, change):
+    """Each plan ``--mode plans`` writes is a plan document, its request
+    values written as literals, and ``plan run`` prints its fact's table."""
+    doc = json.loads((FIXTURES / "requests" / f"{name}.json").read_text())
+    request = tmp_path / "req.json"
+    request.write_text(json.dumps(dict(doc, **change)))
+    args = ["report", "generate", "--ring", str(cli_ring_path),
+            "--request", str(request), "--mode"]
+    tables = []
+    for fact_id, plan in json.loads(_run(runner, *args, "plans").output
+                                    ).items():
+        plans.parse_plan(plan)
+        path = tmp_path / f"{fact_id}.json"
+        path.write_text(json.dumps(plan))
+        result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+                      "--plan", str(path))
+        assert result.exit_code == 0, result.output
+        tables.append(f"{fact_id}\n\n{result.output}")
+    assert len(tables) == {"ranking": 7, "comparative_benchmark": 6,
+                           "time_over_time": 9}[doc["report"]]
+    assert "\n".join(tables) == _run(runner, *args, "tables").output
 
 
 def test_report_plans_mode_rejects_average_of_year(runner, cli_ring_path,

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from . import compiler, registry
-from .errors import ParseError, UnknownAttributeError, UnknownEntityError
+from .errors import (EmptyFactsError, ParseError, UnknownAttributeError,
+                     UnknownEntityError)
 from .plans import (Param, SqrPlan, SqrStep, StepInfo, StepRef, parse_literal,
                     serialize_arg)
 from .ring import Ring
@@ -378,8 +379,6 @@ def render_facts(facts: list[Fact]) -> list[Fact]:
 
 
 def build_prompt(blueprint: Blueprint, facts: list[Fact]) -> str:
-    from .errors import EmptyFactsError
-
     rendered = [f.text for f in facts if f.text]
     if not rendered:
         raise EmptyFactsError("cannot build a prompt from zero facts")

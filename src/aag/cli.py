@@ -1,19 +1,19 @@
-"""Command-line interface.
+"""Command-line interface, parsed by one argparse table.
 
-Exit codes: 0 on success, 1 when an input fails validation or execution,
-2 for usage errors (wrong flags, missing files).
+Exit codes: 0 on success, 1 when an input fails validation or execution
+(``error: …`` on stderr), 2 for usage errors (wrong flags, missing files).
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import os
+import sys
 import tempfile
 from contextlib import closing
 from pathlib import Path
-
-import click
 
 from . import blueprints as bp
 from . import compiler, llm
@@ -23,9 +23,11 @@ from .ring import derive_attributes, load_ring, validate_ring
 from .statements import render_table
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = None
+def _emit(text: str, out: str | None) -> None:
+    """Print ``text``, or write it to ``out`` atomically."""
+    if not out:
+        return print(text)
+    path, tmp = Path(out), None
     try:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=f".{path.name}.")
@@ -39,11 +41,9 @@ def _atomic_write(path: Path, text: str) -> None:
             os.unlink(tmp)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _atomic_write(Path(out), text)
-    else:
-        click.echo(text)
+def _echo_sql(compiled) -> None:
+    for sql, params in compiled.statements():
+        print(f"{sql}\n-- params: {params}", file=sys.stderr)
 
 
 # parsed once per distinct ring text; treat the ring as read-only
@@ -52,150 +52,149 @@ def _load_ring_checked(ring_path: str, text: str):
     ring = load_ring(ring_path, text)
     violations = validate_ring(ring)
     if violations:
-        for v in violations:
-            click.echo(str(v), err=True)
+        print(*violations, sep="\n", file=sys.stderr)
         raise SystemExit(1)
     return derive_attributes(ring)
 
 
-@click.group()
-def main():
-    """Analytics-augmented report generation over relational data."""
-
-
-@main.group()
-def ring():
-    """Ring (semantic layer) commands."""
-
-
-@ring.command("validate")
-@click.option("--ring", "ring_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Path to a ring document.")
-@click.option("--verbose", is_flag=True, help="List entities and attributes.")
-def ring_validate(ring_path: str, verbose: bool):
+def _ring_validate(ns: argparse.Namespace) -> None:
     """Validate a ring document; exit 1 if it has violations."""
-    try:
-        r = _load_ring_checked(ring_path, Path(ring_path).read_text())
-    except AagError as e:
-        click.echo(f"error: {e}", err=True)
-        raise SystemExit(1)
-    click.echo(f"ok: ring {r.name!r} is valid")
-    if verbose:
+    r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
+    print(f"ok: ring {r.name!r} is valid")
+    if ns.verbose:
         for e in r.entities:
-            click.echo(f"  {e.name} ({e.primary_table})")
-            for a in e.attributes:
-                kinds = ", ".join(sorted(t.value for t in a.types))
-                mark = " [derived]" if a.derived else ""
-                click.echo(f"    {a.name}: {kinds}{mark}")
+            print(f"  {e.name} ({e.primary_table})")
+            for attr in e.attributes:
+                kinds = ", ".join(sorted(t.value for t in attr.types))
+                mark = " [derived]" if attr.derived else ""
+                print(f"    {attr.name}: {kinds}{mark}")
 
 
-@main.group()
-def plan():
-    """Plan commands."""
-
-
-@plan.command("run")
-@click.option("--ring", "ring_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--plan", "plan_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Path to a plan document.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--verbose", is_flag=True, help="Also print the generated SQL.")
-def plan_run(ring_path: str, plan_path: str, out: str | None, verbose: bool):
+def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
-    try:
-        r = _load_ring_checked(ring_path, Path(ring_path).read_text())
-        p = load_plan(plan_path)
-        compiled = compiler.compile_plan(r, p)
-        if verbose:
-            for sql, params in compiled.statements():
-                click.echo(f"{sql}\n-- params: {params}", err=True)
-        db = r.db_path(Path(ring_path).parent)
-        with closing(compiler.connect(db)) as conn:
-            result = compiler.execute(compiled, conn)
-        _emit(render_table(result), out)
-    except AagError as e:
-        click.echo(f"error: {e}", err=True)
-        raise SystemExit(1)
+    r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
+    compiled = compiler.compile_plan(r, load_plan(ns.plan))
+    if ns.verbose:
+        _echo_sql(compiled)
+    with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
+        result = compiler.execute(compiled, conn)
+    _emit(render_table(result), ns.out)
 
 
-@main.group()
-def report():
-    """Report generation commands."""
-
-
-@report.command("generate")
-@click.option("--ring", "ring_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--request", "request_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Path to a report request document.")
-@click.option("--mode", type=click.Choice(
-    ["plans", "statements", "tables", "prompt", "report"]),
-    default="report", show_default=True,
-    help="How far to take the pipeline.")
-@click.option("--backend", type=click.Choice(["echo", "remote"]),
-              default="echo", show_default=True)
-@click.option("--profile", type=click.Choice(sorted(llm.PROFILES)),
-              default="remote", show_default=True,
-              help="Sampling profile for generation.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write output here (atomically) instead of stdout.")
-@click.option("--verbose", is_flag=True)
-def report_generate(ring_path: str, request_path: str, mode: str,
-                    backend: str, profile: str, out: str | None,
-                    verbose: bool):
+def _report_generate(ns: argparse.Namespace) -> None:
     """Run a report request end to end (or stop at an intermediate stage)."""
+    ring_text = Path(ns.ring).read_text()
+    r = _load_ring_checked(ns.ring, ring_text)
+    request = bp.parse_request(Path(ns.request).read_text())
+    blueprint = bp.load_blueprint(request.report)
+
+    if ns.mode == "plans":
+        facts = bp.instantiate(r, blueprint, request)
+        doc = {f.id: plan_to_dict(f.plan) for f in facts}
+        return _emit(json.dumps(doc, indent=2), ns.out)
+
+    facts = bp.compile_facts(r, ring_text, blueprint, request)
+    # one connection per report: its facts share the TEMP tables on it
+    with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
+        for fact in facts:
+            if ns.verbose:
+                print(f"-- {fact.id}", file=sys.stderr)
+                _echo_sql(fact.compiled)
+            fact.result = compiler.execute(fact.compiled, conn)
+
+    if ns.mode == "tables":
+        pieces = [render_table(f.result, title=f.id) for f in facts]
+        return _emit("\n\n".join(pieces), ns.out)
+
+    bp.render_facts(facts)
+    statements = "\n".join(f.text for f in facts)
+    if ns.mode == "statements":
+        return _emit(statements, ns.out)
+
+    prompt = bp.build_prompt(blueprint, facts)
+    if ns.mode == "prompt":
+        return _emit(prompt, ns.out)
+
+    config = llm.config_for_profile(ns.profile, backend=ns.backend)
+    _emit(llm.generate(prompt, config), ns.out)
+    if ns.out:
+        # the sidecar carries the exact facts the report was grounded on
+        _emit(statements, f"{ns.out}.facts")
+
+
+def _file(path: str, exists: bool = True) -> str:
+    """``path`` if it is a readable file (or no file, unless ``exists``)."""
+    problem = ("does not exist" if not os.path.exists(path) else
+               "is a directory" if os.path.isdir(path) else
+               "is not readable" if not os.access(path, os.R_OK) else None)
+    if problem and (exists or problem != "does not exist"):
+        raise argparse.ArgumentTypeError(f"file {path!r} {problem}")
+    return path
+
+
+_INPUT = dict(type=_file, required=True)
+_RING = ("--ring", dict(_INPUT, help="Path to a ring document."))
+_OUT = ("--out", dict(type=functools.partial(_file, exists=False),
+                      help="Write output here (atomically) instead of "
+                           "stdout."))
+_VERBOSE = ("--verbose", dict(action="store_true",
+                              help="Also print the generated SQL."))
+
+# group -> (help, {command: (handler, options)})
+_COMMANDS = {
+    "ring": ("Ring (semantic layer) commands.", {"validate": (_ring_validate, [
+        _RING, ("--verbose", dict(action="store_true",
+                                  help="List entities and attributes."))])}),
+    "plan": ("Plan commands.", {"run": (_plan_run, [
+        _RING, ("--plan", dict(_INPUT, help="Path to a plan document.")),
+        _OUT, _VERBOSE])}),
+    "report": ("Report generation commands.", {
+        "generate": (_report_generate, [
+            _RING,
+            ("--request", dict(_INPUT,
+                               help="Path to a report request document.")),
+            ("--mode", dict(
+                choices=["plans", "statements", "tables", "prompt", "report"],
+                default="report",
+                help="How far to take the pipeline. (default: %(default)s)")),
+            ("--backend", dict(choices=["echo", "remote"], default="echo",
+                               help="(default: %(default)s)")),
+            ("--profile", dict(
+                choices=sorted(llm.PROFILES), default="remote",
+                help="Sampling profile for generation. "
+                     "(default: %(default)s)")),
+            _OUT, _VERBOSE])}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="aag", description=(
+        "Analytics-augmented report generation over relational data."))
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (about, commands) in _COMMANDS.items():
+        sub = groups.add_parser(group, help=about, description=about)
+        names = sub.add_subparsers(dest="command", required=True)
+        for name, (handler, options) in commands.items():
+            cmd = names.add_parser(name, help=handler.__doc__,
+                                   description=handler.__doc__,
+                                   allow_abbrev=False)
+            for flag, spec in options:
+                cmd.add_argument(flag, **spec)
+            cmd.set_defaults(handler=handler)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command; exit 1 on an ``AagError``, 2 on a usage error."""
+    del standalone_mode  # still passed by bench/; it changes nothing
+    ns = _PARSER.parse_args(args)
     try:
-        ring_text = Path(ring_path).read_text()
-        r = _load_ring_checked(ring_path, ring_text)
-        request = bp.parse_request(Path(request_path).read_text())
-        blueprint = bp.load_blueprint(request.report)
-
-        if mode == "plans":
-            facts = bp.instantiate(r, blueprint, request)
-            doc = {f.id: plan_to_dict(f.plan) for f in facts}
-            _emit(json.dumps(doc, indent=2), out)
-            return
-
-        facts = bp.compile_facts(r, ring_text, blueprint, request)
-        db = r.db_path(Path(ring_path).parent)
-        # one connection per report: its facts share the TEMP tables on it
-        with closing(compiler.connect(db)) as conn:
-            for fact in facts:
-                if verbose:
-                    click.echo(f"-- {fact.id}", err=True)
-                    for sql, params in fact.compiled.statements():
-                        click.echo(f"{sql}\n-- params: {params}", err=True)
-                fact.result = compiler.execute(fact.compiled, conn)
-
-        if mode == "tables":
-            pieces = [render_table(f.result, title=f.id) for f in facts]
-            _emit("\n\n".join(pieces), out)
-            return
-
-        bp.render_facts(facts)
-        if mode == "statements":
-            _emit("\n".join(f.text for f in facts), out)
-            return
-
-        prompt = bp.build_prompt(blueprint, facts)
-        if mode == "prompt":
-            _emit(prompt, out)
-            return
-
-        config = llm.config_for_profile(profile, backend=backend)
-        text = llm.generate(prompt, config)
-        _emit(text, out)
-        if out:
-            # the sidecar carries the exact facts the report was grounded on,
-            # byte-identical to what `--mode statements` would have written
-            sidecar = "\n".join(f.text for f in facts)
-            _atomic_write(Path(f"{out}.facts"), sidecar)
+        ns.handler(ns)
     except AagError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         raise SystemExit(1)
 
 

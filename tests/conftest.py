@@ -1,11 +1,15 @@
+import io
 import shutil
 import sqlite3
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from aag.cli import main
 from aag.oracle import MemoryDataset
 from aag.ring import derive_attributes, load_ring
 
@@ -101,3 +105,33 @@ def load_fixture_plan(name: str):
 
 def load_fixture_request(name: str) -> str:
     return (FIXTURES / "requests" / f"{name}.json").read_text()
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None  # what ended the run, if anything did
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args) -> CliResult:
+    """Run ``aag.cli.main(args)`` in process with stdout and stderr
+    captured. A ``SystemExit`` ends it as it would end the process; any
+    other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    exception, code = None, 0
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main(list(args))
+    except SystemExit as e:
+        exception, code = e, e.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)

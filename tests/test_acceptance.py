@@ -12,7 +12,6 @@ import time
 from contextlib import closing
 
 import pytest
-from click.testing import CliRunner
 
 from aag import registry
 from aag.blueprints import (
@@ -24,7 +23,6 @@ from aag.blueprints import (
     parse_request,
     render_facts,
 )
-from aag.cli import main as cli_main
 from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import PlanTypeError
 from aag.oracle import oracle_eval
@@ -32,7 +30,8 @@ from aag.plans import analyze_plan, plan_to_dict, toposort
 from aag.statements import format_value, render_table
 from aag.types import AttributeType as T
 
-from conftest import GOLDENS, REPO, load_fixture_plan, load_fixture_request
+from conftest import (GOLDENS, REPO, invoke, load_fixture_plan,
+                      load_fixture_request)
 
 _MODULE_START = time.monotonic()
 
@@ -277,18 +276,16 @@ def test_criterion_7_tables_and_statements_agree(ring_db):
 def test_criterion_8_echo_report_grounding(cli_ring_path, tmp_path):
     """The echo report contains every fact verbatim and the facts sidecar is
     byte-identical to the statements output."""
-    runner = CliRunner()
     request = str(REPO / "fixtures" / "requests" / "ranking_california.json")
     out = tmp_path / "report.txt"
     base = ["report", "generate", "--ring", str(cli_ring_path),
             "--request", request]
 
     start = time.monotonic()
-    result = runner.invoke(cli_main, base + ["--mode", "report",
-                                             "--out", str(out)])
+    result = invoke(base + ["--mode", "report", "--out", str(out)])
     elapsed = time.monotonic() - start
     report = out.read_text()
-    statements = runner.invoke(cli_main, base + ["--mode", "statements"])
+    statements = invoke(base + ["--mode", "statements"])
     facts = statements.output.rstrip("\n").splitlines()
 
     verbatim = all(f in report for f in facts)
@@ -317,9 +314,8 @@ def test_criterion_10_offline_and_fast(cli_ring_path, monkeypatch):
         raise AssertionError("network access attempted")
 
     monkeypatch.setattr(socket.socket, "connect", no_network)
-    runner = CliRunner()
     request = str(REPO / "fixtures" / "requests" / "ranking_california.json")
-    result = runner.invoke(cli_main, [
+    result = invoke([
         "report", "generate", "--ring", str(cli_ring_path),
         "--request", request, "--mode", "report"])
     elapsed = time.monotonic() - _MODULE_START

@@ -10,56 +10,49 @@ import threading
 
 import pytest
 import requests
-from click.testing import CliRunner
 
 from aag import blueprints, compiler, plans, templates
-from aag.cli import main
 
-from conftest import FIXTURES, REPO, RING_PATH
+from conftest import FIXTURES, REPO, RING_PATH, invoke
 
 PLAN = str(FIXTURES / "plans" / "average_size_by_state_2020.json")
 RANKING = str(FIXTURES / "requests" / "ranking_california.json")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def _run(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+def _run(*args):
+    return invoke(args)
 
 
 # ---------------------------------------------------------------------------
 # ring validate
 
 
-def test_ring_validate_ok(runner):
-    result = _run(runner, "ring", "validate", "--ring", str(RING_PATH))
+def test_ring_validate_ok():
+    result = _run("ring", "validate", "--ring", str(RING_PATH))
     assert result.exit_code == 0
     assert "ok" in result.output
 
 
-def test_ring_validate_verbose_lists_attributes(runner):
-    result = _run(runner, "ring", "validate", "--ring", str(RING_PATH),
+def test_ring_validate_verbose_lists_attributes():
+    result = _run("ring", "validate", "--ring", str(RING_PATH),
                   "--verbose")
     assert result.exit_code == 0
     assert "Wildfire" in result.output
     assert "[derived]" in result.output
 
 
-def test_ring_validate_reports_violations(runner, tmp_path):
+def test_ring_validate_reports_violations(tmp_path):
     doc = json.loads(RING_PATH.read_text())
     doc["entities"][0]["attributes"][1]["source"] = ["volcanoes", "size"]
     bad = tmp_path / "bad_ring.json"
     bad.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["ring", "validate", "--ring", str(bad)])
+    result = invoke(["ring", "validate", "--ring", str(bad)])
     assert result.exit_code == 1
     assert "UnknownTable" in result.output
 
 
-def test_missing_file_is_a_usage_error(runner):
-    result = runner.invoke(main, ["ring", "validate", "--ring", "no.json"])
+def test_missing_file_is_a_usage_error():
+    result = invoke(["ring", "validate", "--ring", "no.json"])
     assert result.exit_code == 2
 
 
@@ -67,24 +60,23 @@ def test_missing_file_is_a_usage_error(runner):
 # plan run
 
 
-def test_plan_run_prints_table(runner, cli_ring_path):
-    result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+def test_plan_run_prints_table(cli_ring_path):
+    result = _run("plan", "run", "--ring", str(cli_ring_path),
                   "--plan", PLAN)
     assert result.exit_code == 0
     assert "| California | 150.0 |" in result.output
     assert "| Nevada | 50.0 |" in result.output
 
 
-def test_plan_run_verbose_shows_sql(runner, cli_ring_path):
-    result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+def test_plan_run_verbose_shows_sql(cli_ring_path):
+    result = _run("plan", "run", "--ring", str(cli_ring_path),
                   "--plan", PLAN, "--verbose")
     assert result.exit_code == 0
     assert "SELECT" in result.output
     assert "params" in result.output
 
 
-def test_plan_run_verbose_shows_every_statement(runner, cli_ring_path,
-                                                tmp_path):
+def test_plan_run_verbose_shows_every_statement(cli_ring_path, tmp_path):
     # the 2020 averages by state, materialized, then California's row
     doc = json.loads((FIXTURES / "plans" /
                       "average_size_by_state_2020.json").read_text())
@@ -97,7 +89,7 @@ def test_plan_run_verbose_shows_every_statement(runner, cli_ring_path,
     doc["result"] = "R"
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(doc))
-    result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+    result = _run("plan", "run", "--ring", str(cli_ring_path),
                   "--plan", str(plan), "--verbose")
     assert result.exit_code == 0
     out = result.output
@@ -110,11 +102,11 @@ def test_plan_run_verbose_shows_every_statement(runner, cli_ring_path,
     assert "| 150.0 |" in out
 
 
-def test_plan_run_fails_cleanly_without_database(runner, tmp_path):
+def test_plan_run_fails_cleanly_without_database(tmp_path):
     ring_copy = tmp_path / "ring.json"
     ring_copy.write_text(RING_PATH.read_text())
-    result = runner.invoke(main, ["plan", "run", "--ring", str(ring_copy),
-                                  "--plan", PLAN])
+    result = invoke(["plan", "run", "--ring", str(ring_copy),
+                     "--plan", PLAN])
     assert result.exit_code == 1
     assert "error: database not found" in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
@@ -126,48 +118,47 @@ def test_plan_run_fails_cleanly_without_database(runner, tmp_path):
 # report generate
 
 
-def test_report_modes(runner, cli_ring_path):
+def test_report_modes(cli_ring_path):
     args = ["report", "generate", "--ring", str(cli_ring_path),
             "--request", RANKING]
 
-    plans = _run(runner, *args, "--mode", "plans")
+    plans = _run(*args, "--mode", "plans")
     assert plans.exit_code == 0
     doc = json.loads(plans.output)
     assert len(doc) == 7
     for plan in doc.values():
         assert plan["version"] == "sqr_plan_v1"
 
-    tables = _run(runner, *args, "--mode", "tables")
+    tables = _run(*args, "--mode", "tables")
     assert tables.exit_code == 0
     separator_rows = [ln for ln in tables.output.splitlines()
                       if ln.startswith("| ---")]
     assert len(separator_rows) == 7
 
-    statements = _run(runner, *args, "--mode", "statements")
+    statements = _run(*args, "--mode", "statements")
     assert statements.exit_code == 0
     assert len(statements.output.strip().splitlines()) == 7
 
-    prompt = _run(runner, *args, "--mode", "prompt")
+    prompt = _run(*args, "--mode", "prompt")
     assert prompt.exit_code == 0
     assert "Facts:" in prompt.output
 
-    report = _run(runner, *args, "--mode", "report")
+    report = _run(*args, "--mode", "report")
     assert report.exit_code == 0
     assert report.output.startswith("REPORT:")
 
 
-def test_report_out_writes_atomically_with_sidecar(runner, cli_ring_path,
-                                                   tmp_path):
+def test_report_out_writes_atomically_with_sidecar(cli_ring_path, tmp_path):
     out = tmp_path / "report.txt"
     args = ["report", "generate", "--ring", str(cli_ring_path),
             "--request", RANKING]
-    result = _run(runner, *args, "--mode", "report", "--out", str(out))
+    result = _run(*args, "--mode", "report", "--out", str(out))
     assert result.exit_code == 0
     assert out.read_text().startswith("REPORT:")
     sidecar = tmp_path / "report.txt.facts"
     assert sidecar.exists()
 
-    statements = _run(runner, *args, "--mode", "statements")
+    statements = _run(*args, "--mode", "statements")
     assert sidecar.read_bytes() == statements.output.rstrip("\n").encode()
     # no stray temp files left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == \
@@ -180,7 +171,7 @@ def test_report_out_writes_atomically_with_sidecar(runner, cli_ring_path,
 ], ids=["plan_run", "report_generate"])
 @pytest.mark.parametrize("where", ["missing_directory", "failed_rename"])
 def test_out_write_failure_exits_1_and_leaves_no_file(
-        runner, cli_ring_path, tmp_path, monkeypatch, command, where):
+        cli_ring_path, tmp_path, monkeypatch, command, where):
     out = tmp_path / "missing" / "x.txt"
     if where == "failed_rename":
         out = tmp_path / "x.txt"
@@ -188,8 +179,8 @@ def test_out_write_failure_exits_1_and_leaves_no_file(
         def fail(src, dst):
             raise PermissionError(13, "Permission denied")
         monkeypatch.setattr(os, "replace", fail)
-    result = runner.invoke(main, [*command, "--ring", str(cli_ring_path),
-                                  "--out", str(out)])
+    result = invoke([*command, "--ring", str(cli_ring_path),
+                     "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: cannot write {out}: " in result.output
@@ -197,20 +188,19 @@ def test_out_write_failure_exits_1_and_leaves_no_file(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_report_rejects_bad_request(runner, cli_ring_path, tmp_path):
+def test_report_rejects_bad_request(cli_ring_path, tmp_path):
     bad = tmp_path / "req.json"
     bad.write_text(json.dumps({"version": "report_request_v1"}))
-    result = runner.invoke(main, ["report", "generate",
-                                  "--ring", str(cli_ring_path),
-                                  "--request", str(bad)])
+    result = invoke(["report", "generate",
+                     "--ring", str(cli_ring_path),
+                     "--request", str(bad)])
     assert result.exit_code == 1
     assert "error:" in result.output
 
 
 @pytest.mark.parametrize("name", ["ranking_california", "benchmark_california",
                                   "time_over_time_california"])
-def test_report_analyzes_each_plan_once(runner, cli_ring_path, monkeypatch,
-                                        name):
+def test_report_analyzes_each_plan_once(cli_ring_path, monkeypatch, name):
     calls = []
     analyze_plan = plans.analyze_plan
 
@@ -230,7 +220,7 @@ def test_report_analyzes_each_plan_once(runner, cli_ring_path, monkeypatch,
     monkeypatch.setattr(blueprints, "instantiate", kept)
     blueprints._compiled.clear()  # a cached shape would skip the analyses
     request = FIXTURES / "requests" / f"{name}.json"
-    result = _run(runner, "report", "generate", "--ring", str(cli_ring_path),
+    result = _run("report", "generate", "--ring", str(cli_ring_path),
                   "--request", str(request), "--mode", "statements")
     assert result.exit_code == 0
     # one analysis per fact, plus one per member part the facts share
@@ -273,21 +263,19 @@ def _shape_sequence(shift):
                     filters, PERIODS[i % 4][shift])
 
 
-def _report_outputs(runner, ring, request, clear):
+def _report_outputs(ring, request, clear):
     """--verbose stderr and --mode statements, then --mode tables."""
     outputs = []
     for extra in (["--mode", "statements", "--verbose"], ["--mode", "tables"]):
         if clear:
             blueprints._compiled.clear()
-        result = runner.invoke(main, ["report", "generate", "--ring", ring,
-                                      "--request", request, *extra],
-                               catch_exceptions=False)
+        result = invoke(["report", "generate", "--ring", ring,
+                         "--request", request, *extra])
         outputs.append((result.exit_code, result.stdout, result.stderr))
     return outputs
 
 
-def test_cached_shapes_report_as_uncached_ones(runner, cli_ring_path,
-                                               tmp_path):
+def test_cached_shapes_report_as_uncached_ones(cli_ring_path, tmp_path):
     request = tmp_path / "request.json"
     # each shape twice, with other values: the second pass is all hits
     docs = [*_shape_sequence(0), *_shape_sequence(1)]
@@ -298,7 +286,7 @@ def test_cached_shapes_report_as_uncached_ones(runner, cli_ring_path,
         for doc in docs:
             request.write_text(json.dumps(doc))
             outputs[clear].append(_report_outputs(
-                runner, str(cli_ring_path), str(request), clear))
+                str(cli_ring_path), str(request), clear))
     assert len(blueprints._compiled) == 1
     assert outputs[False] == outputs[True]
     assert sum(code == 0 for outs in outputs[False] for code, _, _ in outs) \
@@ -306,7 +294,7 @@ def test_cached_shapes_report_as_uncached_ones(runner, cli_ring_path,
     assert any("m_" in err for outs in outputs[False] for _, _, err in outs)
 
 
-def test_cache_hit_skips_fill_analyze_and_compile(runner, cli_ring_path,
+def test_cache_hit_skips_fill_analyze_and_compile(cli_ring_path,
                                                   monkeypatch, tmp_path):
     calls = []
 
@@ -327,34 +315,33 @@ def test_cache_hit_skips_fill_analyze_and_compile(runner, cli_ring_path,
             "--request", str(request), "--mode", "statements"]
     blueprints._compiled.clear()
     request.write_text(json.dumps(_request_doc("time_over_time")))
-    first = _run(runner, *args).output
+    first = _run(*args).output
     assert {"analyze_plan", "fill_template", "compile_plan"} <= set(calls)
     calls.clear()
     # the same shape: another target and period, the same kinds
     request.write_text(json.dumps(_request_doc(
         "time_over_time", target="Nevada", period=(2018, 2021))))
-    second = _run(runner, *args).output
+    second = _run(*args).output
     assert calls == [] and second != first
     # equal start and end are another shape: one member plan, not two
     request.write_text(json.dumps(_request_doc(
         "time_over_time", period=(2020, 2020))))
-    assert _run(runner, *args).exit_code == 0
+    assert _run(*args).exit_code == 0
     assert "compile_plan" in calls and len(blueprints._compiled) == 2
     # a string where a number was is another shape: it fails as uncached
     for value, code in ((10.5, 0), ("10.5", 1)):
         request.write_text(json.dumps(_request_doc("ranking", filters=[
             {"attribute": "size", "op": "greater_than", "value": value}])))
-        assert _run(runner, *args).exit_code == code
+        assert _run(*args).exit_code == code
 
 
-def test_cache_keeps_at_most_its_bound(runner, cli_ring_path, monkeypatch,
-                                       tmp_path):
+def test_cache_keeps_at_most_its_bound(cli_ring_path, monkeypatch, tmp_path):
     monkeypatch.setattr(blueprints, "CACHE_SIZE", 3)
     blueprints._compiled.clear()
     request = tmp_path / "request.json"
     for aggregation in AGGREGATIONS[:5]:
         request.write_text(json.dumps(_request_doc("ranking", aggregation)))
-        assert _run(runner, "report", "generate", "--ring",
+        assert _run("report", "generate", "--ring",
                     str(cli_ring_path), "--request", str(request),
                     "--mode", "statements").exit_code == 0
         assert len(blueprints._compiled) <= 3
@@ -364,15 +351,14 @@ def test_cache_keeps_at_most_its_bound(runner, cli_ring_path, monkeypatch,
             if f"aggregation={a!r}" in shape] == list(AGGREGATIONS[2:5])
 
 
-def test_rewritten_ring_reports_as_a_fresh_process(runner, cli_ring_path,
-                                                   tmp_path):
+def test_rewritten_ring_reports_as_a_fresh_process(cli_ring_path, tmp_path):
     ring, _ = _private_copy(cli_ring_path, tmp_path)
     args = ["report", "generate", "--ring", str(ring), "--request", RANKING,
             "--mode", "statements"]
-    before = _run(runner, *args).output
+    before = _run(*args).output
     ring.write_text(ring.read_text().replace('["state", "states"]',
                                              '["province", "provinces"]'))
-    after = _run(runner, *args).output
+    after = _run(*args).output
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     fresh = subprocess.run([sys.executable, "-m", "aag.cli", *args], env=env,
                            check=True, capture_output=True, text=True).stdout
@@ -395,16 +381,15 @@ def test_rewritten_ring_reports_as_a_fresh_process(runner, cli_ring_path,
         "filters_not_a_list", "period_not_an_object", "array_request",
         "target_reference", "benchmark_reference", "filter_value_reference",
         "target_slot", "target_list", "report_list", "entity_object"])
-def test_report_rejects_malformed_request(runner, cli_ring_path, tmp_path,
-                                          change):
+def test_report_rejects_malformed_request(cli_ring_path, tmp_path, change):
     doc = json.loads((FIXTURES / "requests" / "ranking_california.json")
                      .read_text())
     request = tmp_path / "req.json"
     request.write_text(json.dumps([doc] if change is None
                                   else dict(doc, **change)))
-    result = runner.invoke(main, ["report", "generate", "--ring",
-                                  str(cli_ring_path), "--request",
-                                  str(request), "--mode", "statements"])
+    result = invoke(["report", "generate", "--ring",
+                     str(cli_ring_path), "--request",
+                     str(request), "--mode", "statements"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("error: ")
@@ -417,7 +402,7 @@ def test_report_rejects_malformed_request(runner, cli_ring_path, tmp_path,
     ("ranking_california", {"target": "2020-01-01", "filters": [
         {"attribute": "size", "op": "greater_than", "value": 10.5}]}),
 ])
-def test_plans_mode_plans_run_as_their_tables(runner, cli_ring_path,
+def test_plans_mode_plans_run_as_their_tables(cli_ring_path,
                                               tmp_path, name, change):
     """Each plan ``--mode plans`` writes is a plan document, its request
     values written as literals, and ``plan run`` prints its fact's table."""
@@ -427,49 +412,91 @@ def test_plans_mode_plans_run_as_their_tables(runner, cli_ring_path,
     args = ["report", "generate", "--ring", str(cli_ring_path),
             "--request", str(request), "--mode"]
     tables = []
-    for fact_id, plan in json.loads(_run(runner, *args, "plans").output
+    for fact_id, plan in json.loads(_run(*args, "plans").output
                                     ).items():
         plans.parse_plan(plan)
         path = tmp_path / f"{fact_id}.json"
         path.write_text(json.dumps(plan))
-        result = _run(runner, "plan", "run", "--ring", str(cli_ring_path),
+        result = _run("plan", "run", "--ring", str(cli_ring_path),
                       "--plan", str(path))
         assert result.exit_code == 0, result.output
         tables.append(f"{fact_id}\n\n{result.output}")
     assert len(tables) == {"ranking": 7, "comparative_benchmark": 6,
                            "time_over_time": 9}[doc["report"]]
-    assert "\n".join(tables) == _run(runner, *args, "tables").output
+    assert "\n".join(tables) == _run(*args, "tables").output
 
 
-def test_report_plans_mode_rejects_average_of_year(runner, cli_ring_path,
-                                                   tmp_path):
+def test_report_plans_mode_rejects_average_of_year(cli_ring_path, tmp_path):
     doc = json.loads((FIXTURES / "requests" / "ranking_california.json")
                      .read_text())
     doc.update(metric="year", aggregation="average")
     request = tmp_path / "req.json"
     request.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["report", "generate",
-                                  "--ring", str(cli_ring_path),
-                                  "--request", str(request),
-                                  "--mode", "plans"])
+    result = invoke(["report", "generate",
+                     "--ring", str(cli_ring_path),
+                     "--request", str(request),
+                     "--mode", "plans"])
     assert result.exit_code == 1
     assert "error: step V: expected input" in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
+    """``import aag.cli`` loads the standard library and ``aag`` only."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = "import sys, aag.cli; print('requests' in sys.modules)"
+    code = ("import sys; before = set(sys.modules); import aag.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] not in {*sys.stdlib_module_names, 'aag'}"
+            "))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
-def test_report_rejects_unknown_mode(runner, cli_ring_path):
-    result = runner.invoke(main, ["report", "generate",
-                                  "--ring", str(cli_ring_path),
-                                  "--request", RANKING,
-                                  "--mode", "interpretive-dance"])
+@pytest.mark.parametrize("case", [
+    "no_arguments", "group_without_command", "unknown_command",
+    "missing_request", "ring_is_a_directory", "out_is_a_directory",
+    "unknown_profile"])
+def test_usage_errors_exit_2_and_write_nothing(cli_ring_path, tmp_path, case):
+    ring, out = str(cli_ring_path), str(tmp_path / "out.txt")
+    report = ["report", "generate", "--ring", ring, "--request", RANKING]
+    (tmp_path / "dir").mkdir()
+    args = {
+        "no_arguments": [],
+        "group_without_command": ["report"],
+        "unknown_command": ["bogus", "--out", out],
+        "missing_request": ["report", "generate", "--ring", ring,
+                            "--out", out],
+        "ring_is_a_directory": ["plan", "run", "--ring", str(tmp_path),
+                                "--plan", PLAN, "--out", out],
+        "out_is_a_directory": [*report, "--out", str(tmp_path / "dir")],
+        "unknown_profile": [*report, "--profile", "bogus", "--out", out],
+    }[case]
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    [], ["report"], ["report", "generate"],
+], ids=["top", "group", "command"])
+def test_help_exits_0(args):
+    result = invoke([*args, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: aag")
+    if args == ["report", "generate"]:
+        assert re.search(r"--mode \W?plans\Wstatements\Wtables\Wprompt"
+                         r"\Wreport", result.stdout)
+
+
+def test_report_rejects_unknown_mode(cli_ring_path):
+    result = invoke(["report", "generate",
+                     "--ring", str(cli_ring_path),
+                     "--request", RANKING,
+                     "--mode", "interpretive-dance"])
     assert result.exit_code == 2
 
 
@@ -480,12 +507,11 @@ def _private_copy(cli_ring_path, tmp_path):
     return ring, tmp_path / "wildfire.db"
 
 
-def test_report_holds_no_lock_and_sees_new_rows(runner, cli_ring_path,
-                                                tmp_path):
+def test_report_holds_no_lock_and_sees_new_rows(cli_ring_path, tmp_path):
     ring, db = _private_copy(cli_ring_path, tmp_path)
     args = ["report", "generate", "--ring", str(ring), "--request", RANKING,
             "--mode", "statements"]
-    before = _run(runner, *args)
+    before = _run(*args)
     assert "A total of 2 states were compared." in before.output
     writer = sqlite3.connect(db, timeout=0, isolation_level=None)
     try:
@@ -496,35 +522,35 @@ def test_report_holds_no_lock_and_sees_new_rows(runner, cli_ring_path,
         writer.execute("COMMIT")
     finally:
         writer.close()
-    after = _run(runner, *args)
+    after = _run(*args)
     assert after.exit_code == 0
     assert "A total of 3 states were compared." in after.output
 
 
 def test_report_built_in_ranges_leaves_no_thread_or_connection(
-        runner, cli_ring_path, split, opened):
+        cli_ring_path, split, opened):
     args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
             RANKING, "--mode", "statements"]
-    want = _run(runner, *args).output
+    want = _run(*args).output
     split(3)
     connections, closed = opened
     before, threads = len(connections), set(threading.enumerate())
-    assert _run(runner, *args).output == want
+    assert _run(*args).output == want
     # the report's connection and two helpers' for its one partial table
     assert len(connections) - before == 3
     assert all(any(c is d for d in closed) for c in connections)
     assert set(threading.enumerate()) == threads
 
 
-def test_report_runs_on_read_only_database(runner, cli_ring_path, tmp_path):
+def test_report_runs_on_read_only_database(cli_ring_path, tmp_path):
     ring, db = _private_copy(cli_ring_path, tmp_path)
     args = ["report", "generate", "--request", RANKING, "--mode",
             "statements"]
-    want = _run(runner, *args, "--ring", str(cli_ring_path)).output
+    want = _run(*args, "--ring", str(cli_ring_path)).output
     db.chmod(0o444)
     tmp_path.chmod(0o555)
     try:
-        result = _run(runner, *args, "--ring", str(ring))
+        result = _run(*args, "--ring", str(ring))
     finally:
         tmp_path.chmod(0o755)
     assert result.exit_code == 0
@@ -534,7 +560,7 @@ def test_report_runs_on_read_only_database(runner, cli_ring_path, tmp_path):
     assert stat.S_IMODE(db.stat().st_mode) == 0o444
 
 
-def test_remote_non_json_reply_exits_1(runner, cli_ring_path, monkeypatch):
+def test_remote_non_json_reply_exits_1(cli_ring_path, monkeypatch):
     class HtmlResponse:
         status_code = 200
         text = "<html>gateway</html>"
@@ -543,10 +569,10 @@ def test_remote_non_json_reply_exits_1(runner, cli_ring_path, monkeypatch):
             raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: HtmlResponse())
-    result = runner.invoke(main, ["report", "generate",
-                                  "--ring", str(cli_ring_path),
-                                  "--request", RANKING,
-                                  "--backend", "remote"])
+    result = invoke(["report", "generate",
+                     "--ring", str(cli_ring_path),
+                     "--request", RANKING,
+                     "--backend", "remote"])
     assert result.exit_code == 1
     assert "malformed response: <html>gateway</html>" in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback

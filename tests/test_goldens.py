@@ -3,11 +3,7 @@ the files in ``tests/goldens``: each ``report generate --mode``, the
 ``.facts`` sidecar of ``--out``, and the ``plan run`` table."""
 
 import pytest
-from click.testing import CliRunner
-
-from aag.cli import main
-
-from conftest import FIXTURES, GOLDENS
+from conftest import FIXTURES, GOLDENS, invoke
 
 REQUESTS = ("benchmark_california", "ranking_california",
             "time_over_time_california")
@@ -31,13 +27,13 @@ CASES = [
 def test_output_matches_golden(cli_ring_path, tmp_path, golden, args):
     want = (GOLDENS / golden).read_bytes()
     args = [*args, "--ring", str(cli_ring_path)]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == want
     if golden.endswith("_report.txt"):
         # --out writes the same text, and its sidecar the statements
         out = tmp_path / "report.txt"
-        assert CliRunner().invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        assert invoke([*args, "--out", str(out)]).exit_code == 0
         statements = golden.replace("_report.", "_statements.")
         assert out.read_bytes() + b"\n" == want
         assert (tmp_path / "report.txt.facts").read_bytes() + b"\n" == \

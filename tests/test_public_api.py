@@ -10,12 +10,6 @@ PACKAGE = REPO / "src" / "aag"
 ALLOWED = {"oracle_eval", "run_plan"}
 
 
-def _is_click_command(node) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group")
-               for d in node.decorator_list)
-
-
 def _uses(*nodes) -> set[str]:
     """The names and attribute names read anywhere in ``nodes``; imports do
     not count."""
@@ -34,7 +28,6 @@ def test_every_public_definition_is_used_in_the_package():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and node.name not in ALLOWED
-                    and not _is_click_command(node)
                     and node.name not in elsewhere
                     and node.name not in _uses(*(n for n in tree.body
                                                  if n is not node))):

@@ -17,11 +17,11 @@ from typing import Any, Optional, Union
 from . import compiler, registry
 from .errors import (EmptyFactsError, ParseError, UnknownAttributeError,
                      UnknownEntityError)
-from .plans import (Param, SqrPlan, SqrStep, StepInfo, StepRef, parse_literal,
+from .plans import (Param, SqrPlan, SqrStep, StepRef, parse_literal,
                     serialize_arg)
 from .ring import Ring
 from .statements import StatementTemplate, format_value, render_statement
-from .templates import PlanAnalyses, PlanTemplate, fill_template, load_templates
+from .templates import PlanTemplate, fill_template, load_templates
 from .types import ResultSet
 
 REQUEST_FORMAT_VERSION = "report_request_v1"
@@ -238,7 +238,6 @@ class Fact:
     statement: StatementTemplate
     statement_inputs: dict[str, str]
     plan: Optional[SqrPlan] = None  # from ``instantiate``
-    info: Optional[dict[str, StepInfo]] = None  # the analysis of ``plan``
     compiled: Optional[compiler.CompiledQuery] = None  # from compile_facts
     result: Optional[ResultSet] = None
     text: Optional[str] = None
@@ -313,7 +312,6 @@ def instantiate(ring: Ring, blueprint: Blueprint,
     request value enters the plans as a ``Param``."""
     templates = templates or builtin_templates()
     ctx = _context(ring, request)
-    analyze = PlanAnalyses(ring)  # each part is analyzed once per report
     values = request.mapped(Param)
 
     parts = {"members": build_member_plan(ring, values)}
@@ -332,10 +330,9 @@ def instantiate(ring: Ring, blueprint: Blueprint,
         template = templates[req.template]
         bindings = {name: _resolve(spec, values, ctx, parts)
                     for name, spec in req.bindings.items()}
-        plan = fill_template(ring, template, bindings, analyze)
         facts.append(Fact(req.id, template.statement,
-                          _inputs(req, request, ctx, parts), plan=plan,
-                          info=analyze(plan)))
+                          _inputs(req, request, ctx, parts),
+                          plan=fill_template(ring, template, bindings)))
     return facts
 
 
@@ -353,7 +350,7 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
     ctx = _context(ring, request)
     key = ring_text, request.shape()
     _compiled[key] = _compiled.pop(key, None) or [
-        (f.statement, compiler.compile_plan(ring, f.plan, f.info).shape)
+        (f.statement, compiler.compile_plan(ring, f.plan).shape)
         for f in instantiate(ring, blueprint, request)]
     if len(_compiled) > CACHE_SIZE:  # drop the least recently used
         del _compiled[next(iter(_compiled))]

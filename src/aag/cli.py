@@ -116,10 +116,17 @@ def _report_generate(ns: argparse.Namespace) -> None:
         return _emit(prompt, ns.out)
 
     config = llm.config_for_profile(ns.profile, backend=ns.backend)
-    _emit(llm.generate(prompt, config), ns.out)
-    if ns.out:
-        # the sidecar carries the exact facts the report was grounded on
-        _emit(statements, f"{ns.out}.facts")
+    report = llm.generate(prompt, config)
+    if not ns.out:
+        return print(report)
+    # the sidecar carries the exact facts the report was grounded on: it is
+    # written first, and removed if the report cannot be written
+    _emit(statements, f"{ns.out}.facts")
+    try:
+        _emit(report, ns.out)
+    except AagError:
+        os.unlink(f"{ns.out}.facts")
+        raise
 
 
 def _file(path: str, exists: bool = True) -> str:

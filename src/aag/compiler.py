@@ -44,13 +44,12 @@ import sqlite3
 import threading
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import DbError, NoRelationshipError, UnsupportedPatternError
-from .plans import Param, SqrPlan, StepInfo, StepRef, analyze_plan
+from .plans import Param, SqrPlan, StepRef, analyze_plan
 from .registry import REGISTRY
 from .ring import Ring
 from .types import ColumnMeta, DatetimeValue, ResultSet
@@ -114,7 +113,6 @@ class JoinResolution:
     columns: dict[str, list[str]]  # table -> its columns the conditions use
 
 
-@lru_cache(maxsize=4096)
 def _q(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
@@ -188,10 +186,10 @@ def _stddev(v: str, mean=lambda e: f"AVG({e})") -> str:
 
 
 class _Compiler:
-    def __init__(self, ring: Ring, plan: SqrPlan, info=None):
+    def __init__(self, ring: Ring, plan: SqrPlan):
         self.ring = ring
         self.plan = plan
-        self.info = info or analyze_plan(ring, plan)
+        self.info = analyze_plan(ring, plan)
         self.ctes: list[tuple[str, str]] = []  # (name, sql)
         self.params: list = []
         self.subplans: list[Subplan] = []
@@ -654,11 +652,9 @@ class _Region:
 # public entry points
 
 
-def compile_plan(ring: Ring, plan: SqrPlan,
-                 info: Optional[dict[str, StepInfo]] = None) -> CompiledQuery:
-    """``plan``'s query, bound to its own values; ``info``, when given, is
-    the analysis of ``plan`` to compile with."""
-    return _Compiler(ring, plan, info).compile().bind()
+def compile_plan(ring: Ring, plan: SqrPlan) -> CompiledQuery:
+    """``plan``'s query, bound to its own values."""
+    return _Compiler(ring, plan).compile().bind()
 
 
 # rowid span per range of a partial table's build: two ranges break even

@@ -102,7 +102,7 @@ class HttpError(AagError):
         super().__init__(f"HTTP {status}: {body[:500]}")
 
 
-class AuthError(AagError):
+class AuthError(HttpError):
     pass
 
 

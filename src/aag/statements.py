@@ -9,6 +9,7 @@ statements feed a language model that must not be handed ambiguous facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any, Optional
@@ -28,6 +29,8 @@ def _format_number(value) -> str:
     if isinstance(value, int):
         return f"{value:,}" if abs(value) >= 10_000 else str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # e.g. a SUM past the largest double
+            raise ParseError(f"not a finite number: {value!r}")
         if value == int(value) and abs(value) < 1e15:
             # keep one decimal so numeric results read as measurements
             whole = _format_number(int(value))

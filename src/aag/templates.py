@@ -31,7 +31,6 @@ from .plans import (
     SlotArg,
     SqrPlan,
     SqrStep,
-    StepInfo,
     StepRef,
     analyze_plan,
     ensure_no_dead_steps,
@@ -174,37 +173,18 @@ def compose_plans(template_plan: SqrPlan, parts: list[SqrPlan],
 
 
 def _substitute_literals(plan: SqrPlan, values: dict[str, Any]) -> SqrPlan:
-    steps = {label: SqrStep(label, s.op, tuple(
+    return SqrPlan({label: SqrStep(label, s.op, tuple(
         values.get(a.name, a) if isinstance(a, SlotArg) else a for a in s.args))
-        for label, s in plan.steps.items()}
-    # nothing bound: keep the object, and with it its analysis
-    return plan if steps == plan.steps else SqrPlan(steps, plan.result)
+        for label, s in plan.steps.items()}, plan.result)
 
 
-class PlanAnalyses:
-    """``analyze_plan`` made once per plan object, for the plans of one
-    report. Each plan is held with its analysis, so its id stays unique."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self._by_id: dict[int, tuple[SqrPlan, dict[str, StepInfo]]] = {}
-
-    def __call__(self, plan: SqrPlan) -> dict[str, StepInfo]:
-        if id(plan) not in self._by_id:
-            self._by_id[id(plan)] = plan, analyze_plan(self.ring, plan)
-        return self._by_id[id(plan)][1]
-
-
-def fill_template(ring, template: PlanTemplate, bindings: dict[str, Any],
-                  analyze: Optional[PlanAnalyses] = None) -> SqrPlan:
+def fill_template(ring, template: PlanTemplate,
+                  bindings: dict[str, Any]) -> SqrPlan:
     """Bind a template's slots and produce a fully composed, typechecked plan.
 
-    Plan-valued bindings are deduplicated by identity, so two slots bound to
-    the same plan object share one copy in the composition. ``analyze`` holds
-    the analyses of the caller's report: a bound plan is analyzed once in it,
-    and it keeps the analysis of the returned plan.
+    Plan-valued bindings are deduplicated by equality, so two slots bound to
+    equal plans share one copy in the composition.
     """
-    analyze = analyze or PlanAnalyses(ring)
     for name, slot in template.slots.items():
         if slot.required and name not in bindings:
             raise UnboundSlotError(f"slot {name!r} of template "
@@ -232,22 +212,18 @@ def fill_template(ring, template: PlanTemplate, bindings: dict[str, Any],
                     f"slot {name!r} takes a plan, got {type(value).__name__}")
             plan_slots.append((name, value))
 
-    # one copy per distinct plan object
+    # one copy per distinct plan
     parts: list[SqrPlan] = []
     wiring: dict[str, int] = {}
     for name, p in plan_slots:
         p = _substitute_literals(p, literals)
-        for i, existing in enumerate(parts):
-            if existing is p or existing == p:
-                wiring[name] = i
-                break
-        else:
-            wiring[name] = len(parts)
+        if p not in parts:
             parts.append(p)
+        wiring[name] = parts.index(p)
 
     # check each part's terminal kind before composing, so a mis-bound slot
     # reports as a slot problem rather than a type error deep in the plan
-    part_info = [analyze(p) for p in parts]
+    part_info = [analyze_plan(ring, p) for p in parts]
     for name, idx in wiring.items():
         slot = template.slots[name]
         terminal = part_info[idx][parts[idx].result]
@@ -269,5 +245,5 @@ def fill_template(ring, template: PlanTemplate, bindings: dict[str, Any],
 
     skeleton = _substitute_literals(template.plan, literals)
     composed = compose_plans(skeleton, parts, wiring)
-    analyze(composed)
+    analyze_plan(ring, composed)
     return composed

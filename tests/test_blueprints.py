@@ -273,7 +273,7 @@ def test_bound_shapes_equal_direct_compiles(ring, monkeypatch):
                 [f.statement_inputs for f in want]
             # SQL, parameters and TEMP table names, as compiled uncached
             assert [f.compiled for f in got] == \
-                [compile_plan(ring, f.plan, f.info) for f in want], doc
+                [compile_plan(ring, f.plan) for f in want], doc
     assert hits == 2 * 36
 
 

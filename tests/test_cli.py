@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+from contextlib import closing
 
 import pytest
 import requests
@@ -183,8 +184,28 @@ def test_out_write_failure_exits_1_and_leaves_no_file(
                      "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"error: cannot write {out}: " in result.output
+    # a report writes its .facts sidecar first, so that write is what fails
+    failed = out if command[0] == "plan" else f"{out}.facts"
+    assert f"error: cannot write {failed}: " in result.output
     assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", ["x.txt.facts", "x.txt"])
+def test_report_out_writes_both_files_or_neither(
+        cli_ring_path, tmp_path, monkeypatch, failing):
+    replace = os.replace
+
+    def fail_one(src, dst):
+        if os.path.basename(dst) == failing:
+            raise PermissionError(13, "Permission denied")
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", fail_one)
+    result = invoke(["report", "generate", "--ring", str(cli_ring_path),
+                     "--request", RANKING, "--out", str(tmp_path / "x.txt")])
+    assert result.exit_code == 1
+    assert f"error: cannot write {tmp_path / failing}: " in result.output
+    # no report, no sidecar, no temp file
     assert list(tmp_path.iterdir()) == []
 
 
@@ -198,36 +219,6 @@ def test_report_rejects_bad_request(cli_ring_path, tmp_path):
     assert "error:" in result.output
 
 
-@pytest.mark.parametrize("name", ["ranking_california", "benchmark_california",
-                                  "time_over_time_california"])
-def test_report_analyzes_each_plan_once(cli_ring_path, monkeypatch, name):
-    calls = []
-    analyze_plan = plans.analyze_plan
-
-    def counted(ring, plan):
-        calls.append(plan)
-        return analyze_plan(ring, plan)
-
-    for module in (plans, templates, compiler):
-        monkeypatch.setattr(module, "analyze_plan", counted)
-    instantiate = blueprints.instantiate
-    facts = []
-
-    def kept(*args, **kwargs):
-        facts.extend(instantiate(*args, **kwargs))
-        return facts
-
-    monkeypatch.setattr(blueprints, "instantiate", kept)
-    blueprints._compiled.clear()  # a cached shape would skip the analyses
-    request = FIXTURES / "requests" / f"{name}.json"
-    result = _run("report", "generate", "--ring", str(cli_ring_path),
-                  "--request", str(request), "--mode", "statements")
-    assert result.exit_code == 0
-    # one analysis per fact, plus one per member part the facts share
-    parts = 3 if "period" in json.loads(request.read_text()) else 1
-    assert len(facts) < len(calls) <= len(facts) + parts
-
-
 def _request_doc(report, aggregation="average", target="California",
                  filters=(), period=(2019, 2020)):
     return {"version": "report_request_v1", "report": report,
@@ -236,6 +227,23 @@ def _request_doc(report, aggregation="average", target="California",
             "filters": list(filters), "top_n": 2, "benchmark": 180,
             "period": {"attribute": "year", "start": period[0],
                        "end": period[1]}}
+
+
+def test_report_on_a_sum_past_the_largest_double_exits_1(cli_ring_path,
+                                                         tmp_path):
+    shutil.copy(cli_ring_path, tmp_path)
+    shutil.copy(cli_ring_path.parent / "wildfire.db", tmp_path)
+    with closing(sqlite3.connect(tmp_path / "wildfire.db")) as conn, conn:
+        conn.execute("UPDATE wildfires SET size_acres = 1e308")  # SUM: inf
+    request = tmp_path / "req.json"
+    request.write_text(json.dumps(_request_doc("ranking", "sum")))
+    result = invoke(["report", "generate", "--ring",
+                     str(tmp_path / cli_ring_path.name),
+                     "--request", str(request)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: not a finite number: inf" in result.output
+    assert "Traceback" not in result.output
 
 
 AGGREGATIONS = ("average", "count", "count_unique", "max", "median", "min",

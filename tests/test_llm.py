@@ -75,8 +75,11 @@ def test_remote_success(monkeypatch):
 def test_remote_auth_failure(monkeypatch):
     monkeypatch.setattr(requests, "post",
                         lambda *a, **k: FakeResponse(401, text="denied"))
-    with pytest.raises(AuthError):
+    with pytest.raises(AuthError) as exc:
         generate("p", _remote_config())
+    # the CLI prints ``error: `` and this message
+    assert str(exc.value) == "HTTP 401: denied"
+    assert exc.value.status == 401 and isinstance(exc.value, HttpError)
 
 
 def test_remote_retries_then_succeeds(monkeypatch):

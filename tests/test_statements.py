@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aag.errors import (
+    AagError,
     MissingColumnError,
     UnexpectedRowCountError,
 )
@@ -62,6 +63,12 @@ def test_format_datetime_drops_midnight():
     assert format_value(DatetimeValue("2020-01-01T00:00:00")) == "2020-01-01"
     assert format_value(DatetimeValue("2020-01-01T06:30:00")) == \
         "2020-01-01T06:30:00"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_format_value_rejects_non_finite_numbers(value):
+    with pytest.raises(AagError, match="not a finite number"):
+        format_value(value, ("acre", "acres"))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False,

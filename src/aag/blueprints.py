@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from . import compiler, registry
-from .errors import (EmptyFactsError, ParseError, UnknownAttributeError,
-                     UnknownEntityError)
+from .errors import AagError
 from .plans import (Param, SqrPlan, SqrStep, StepRef, parse_literal,
                     serialize_arg)
 from .ring import Ring
@@ -82,20 +81,19 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
+            raise AagError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise ParseError("request document must be a JSON object")
+        raise AagError("request document must be a JSON object")
     if doc.get("version") != REQUEST_FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported request version: {doc.get('version')!r}")
+        raise AagError(f"unsupported request version: {doc.get('version')!r}")
     for key in ("report", "entity", "metric", "aggregation", "cohort",
                 "target"):
         if key not in doc:
-            raise ParseError(f"request is missing required field {key!r}")
+            raise AagError(f"request is missing required field {key!r}")
     cohort = doc["cohort"]
     if not isinstance(cohort, dict) or "entity" not in cohort \
             or "key" not in cohort:
-        raise ParseError("request 'cohort' needs 'entity' and 'key'")
+        raise AagError("request 'cohort' needs 'entity' and 'key'")
     top_n, filters, period = (doc.get("top_n", 3), doc.get("filters", []),
                               doc.get("period", {}))
     for ok, rule in (  # a tuple of the ops, as an op may be unhashable
@@ -108,16 +106,15 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
              "an 'attribute', a 'value' and a known 'op'"),
             (isinstance(period, dict), "'period' must be an object")):
         if not ok:
-            raise ParseError(f"request {rule}")
+            raise AagError(f"request {rule}")
     if not all(isinstance(name, str) for name in (
             doc["report"], doc["entity"], doc["metric"], doc["aggregation"],
             cohort["entity"], cohort["key"], period.get("attribute", ""),
             *(f["attribute"] for f in filters))):
-        raise ParseError("request names (of the report, entity, metric, "
-                         "aggregation and attributes) must be strings")
+        raise AagError("request names (of the report, entity, metric, "
+                       "aggregation and attributes) must be strings")
     if doc["aggregation"] not in registry.DERIVATION_AGGREGATIONS:
-        raise ParseError(
-            f"unsupported aggregation {doc['aggregation']!r}")
+        raise AagError(f"unsupported aggregation {doc['aggregation']!r}")
     req = ReportRequest(
         report=doc["report"],
         entity=doc["entity"],
@@ -134,10 +131,10 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
         period_end=period.get("end"),
     ).mapped(lambda name, value: parse_literal(value))
     if req.report == "comparative_benchmark" and req.benchmark is None:
-        raise ParseError("comparative_benchmark requests need a 'benchmark'")
+        raise AagError("comparative_benchmark requests need a 'benchmark'")
     if req.report == "time_over_time" and None in (
             req.period_attribute, req.period_start, req.period_end):
-        raise ParseError("time_over_time requests need a full 'period'")
+        raise AagError("time_over_time requests need a full 'period'")
     return req
 
 
@@ -162,8 +159,7 @@ class Blueprint:
 
 def blueprint_from_dict(doc: dict) -> Blueprint:
     if doc.get("version") != BLUEPRINT_FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported blueprint version: {doc.get('version')!r}")
+        raise AagError(f"unsupported blueprint version: {doc.get('version')!r}")
     reqs = [
         Requirement(
             id=r["id"],
@@ -186,7 +182,7 @@ def _data_dir() -> Path:
 def load_blueprint(report: str) -> Blueprint:
     path = _data_dir() / "blueprints" / f"{report}.json"
     if not path.exists():
-        raise ParseError(f"unknown report type {report!r}")
+        raise AagError(f"unknown report type {report!r}")
     return blueprint_from_dict(json.loads(path.read_text()))
 
 
@@ -247,10 +243,9 @@ def _context(ring: Ring, request: ReportRequest) -> dict[str, Any]:
     for entity, attr in ((request.entity, request.metric),
                          (request.cohort_entity, request.cohort_key)):
         if ring.entity(entity) is None:
-            raise UnknownEntityError(f"unknown entity {entity!r}")
+            raise AagError(f"unknown entity {entity!r}")
         if ring.attribute(entity, attr) is None:
-            raise UnknownAttributeError(
-                f"entity {entity!r} has no attribute {attr!r}")
+            raise AagError(f"entity {entity!r} has no attribute {attr!r}")
     metric_attr = ring.attribute(request.entity, request.metric)
     agg = registry.get_signature(request.aggregation)
     cohort = ring.entity(request.cohort_entity)
@@ -282,20 +277,20 @@ def _resolve(spec: dict, request: ReportRequest, ctx: dict,
              parts: dict[str, SqrPlan]):
     if "part" in spec:
         if spec["part"] not in parts:
-            raise ParseError(f"blueprint references unknown part "
-                             f"{spec['part']!r}")
+            raise AagError(f"blueprint references unknown part "
+                           f"{spec['part']!r}")
         return parts[spec["part"]]
     if "input" in spec:
         value = getattr(request, spec["input"], None)
         if value is None:
-            raise ParseError(f"request is missing input {spec['input']!r}")
+            raise AagError(f"request is missing input {spec['input']!r}")
         return value
     if "ref" in spec:
         if spec["ref"] not in ctx:
-            raise ParseError(f"blueprint references unknown value "
-                             f"{spec['ref']!r}")
+            raise AagError(f"blueprint references unknown value "
+                           f"{spec['ref']!r}")
         return ctx[spec["ref"]]
-    raise ParseError(f"unsupported binding spec: {spec!r}")
+    raise AagError(f"unsupported binding spec: {spec!r}")
 
 
 def _inputs(req: Requirement, request: ReportRequest, ctx: dict,
@@ -325,8 +320,8 @@ def instantiate(ring: Ring, blueprint: Blueprint,
     facts: list[Fact] = []
     for req in blueprint.requirements:
         if req.template not in templates:
-            raise ParseError(f"blueprint requirement {req.id!r} names "
-                             f"unknown template {req.template!r}")
+            raise AagError(f"blueprint requirement {req.id!r} names "
+                           f"unknown template {req.template!r}")
         template = templates[req.template]
         bindings = {name: _resolve(spec, values, ctx, parts)
                     for name, spec in req.bindings.items()}
@@ -369,7 +364,7 @@ def render_facts(facts: list[Fact]) -> list[Fact]:
     """Fill each fact's statement from its result (results must be present)."""
     for fact in facts:
         if fact.result is None:
-            raise ParseError(f"fact {fact.id!r} has no result to render")
+            raise AagError(f"fact {fact.id!r} has no result to render")
         fact.text = render_statement(fact.statement, fact.result,
                                      fact.statement_inputs)
     return facts
@@ -378,7 +373,7 @@ def render_facts(facts: list[Fact]) -> list[Fact]:
 def build_prompt(blueprint: Blueprint, facts: list[Fact]) -> str:
     rendered = [f.text for f in facts if f.text]
     if not rendered:
-        raise EmptyFactsError("cannot build a prompt from zero facts")
+        raise AagError("cannot build a prompt from zero facts")
     lines = [
         f"Write a short analytical report. {blueprint.description}",
         PROMPT_INSTRUCTIONS,

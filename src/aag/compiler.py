@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
-from .errors import DbError, NoRelationshipError, UnsupportedPatternError
+from .errors import AagError, DbError
 from .plans import Param, SqrPlan, StepRef, analyze_plan
 from .registry import REGISTRY
 from .ring import Ring
@@ -141,7 +141,7 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
                     if (rel := ring.relationship_between(a, b)) is not None),
                    None)
         if hop is None:
-            raise NoRelationshipError(
+            raise AagError(
                 f"no relationship connects {remaining!r} to "
                 f"{connected!r}")
         b, rel = hop
@@ -212,8 +212,7 @@ class _Compiler:
     def compile(self) -> CompiledQuery:
         terminal = self.plan.result
         if self.plan.steps[terminal].op != "return":
-            raise UnsupportedPatternError(
-                "plan must terminate in a materialization")
+            raise AagError("plan must terminate in a materialization")
         sql = self._region_sql(terminal)
         self.subplans.append(Subplan(name="main", kind="terminal"))
         columns = [c for _, c in self.info[terminal].columns]
@@ -286,11 +285,9 @@ class _Compiler:
                 entity_names.append(self.info[l].entity)
 
         if entity_names and row_mats:
-            raise UnsupportedPatternError(
-                "region mixes entity scans with multi-row materializations")
+            raise AagError("region mixes entity scans with multi-row materializations")
         if len(row_mats) > 1:
-            raise UnsupportedPatternError(
-                "region reads more than one multi-row materialization")
+            raise AagError("region reads more than one multi-row materialization")
 
         sql = _Region(self, by_op, ret_label, scalar_mats, row_mats,
                       entity_names).build()
@@ -356,7 +353,7 @@ class _Region:
         bound = len(self.c.params)
         sql = self.expr(label)
         if len(self.c.params) != bound:
-            raise UnsupportedPatternError(f"{what} must be columns")
+            raise AagError(f"{what} must be columns")
         return sql
 
     # -- eager aggregation ------------------------------------------------------
@@ -460,8 +457,7 @@ class _Region:
         if not ranks:
             return
         if self.row_alias is None:
-            raise UnsupportedPatternError(
-                "window rank requires a materialized row source")
+            raise AagError("window rank requires a materialized row source")
         src_label = next(iter(self.row_mats))
         src_cols = [c.name for _, c in self.c.info[src_label].columns]
         select = [f"{_q(c)}" for c in src_cols]
@@ -498,13 +494,11 @@ class _Region:
         if not inner_labels:
             return
         if len(inner_labels) > 1:
-            raise UnsupportedPatternError(
-                "multiple nested aggregations in one region")
+            raise AagError("multiple nested aggregations in one region")
         inner = next(iter(inner_labels))
         inner_si = self.c.info[inner]
         if inner_si.grouping_label is None:
-            raise UnsupportedPatternError(
-                "aggregation over an ungrouped aggregation")
+            raise AagError("aggregation over an ungrouped aggregation")
         keys = self.c.info[inner_si.grouping_label].key_labels
         select = []
         group = []
@@ -572,7 +566,7 @@ class _Region:
         if op == "duration":
             return (f"CAST(ROUND((julianday({args[1]}) - julianday({args[0]}))"
                     f" * 86400.0) AS INTEGER)")
-        raise UnsupportedPatternError(f"cannot compile step {label!r} ({op})")
+        raise AagError(f"cannot compile step {label!r} ({op})")
 
     def _agg_expr(self, label: str) -> str:
         step = self.c.plan.steps[label]
@@ -592,7 +586,7 @@ class _Region:
             return _stddev(v)
         if op in _SIMPLE_AGGS:
             return _SIMPLE_AGGS[op].format(v)
-        raise UnsupportedPatternError(f"aggregation {op!r}")
+        raise AagError(f"aggregation {op!r}")
 
     # -- assembly ---------------------------------------------------------------
 
@@ -622,7 +616,7 @@ class _Region:
         if grouped and group_exprs:
             sql_lines.append(f"GROUP BY {', '.join(group_exprs)}")
         elif agg_labels and group_exprs:
-            raise UnsupportedPatternError(
+            raise AagError(
                 "per-row column collected alongside an ungrouped aggregation")
 
         sql_lines.append(self._order_clause())

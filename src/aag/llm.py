@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AuthError, GenerationTimeoutError, HttpError, ParseError
+from .errors import AagError, HttpError
 
 ECHO_MARKER = "Facts:\n"
 
@@ -44,19 +44,18 @@ class GenerationConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.temperature <= 2.0):
-            raise ParseError(
-                f"temperature must be in [0, 2], got {self.temperature}")
+            raise AagError(f"temperature must be in [0, 2], got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
-            raise ParseError(f"top_p must be in (0, 1], got {self.top_p}")
+            raise AagError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.backend not in ("echo", "remote"):
-            raise ParseError(f"unknown backend {self.backend!r}")
+            raise AagError(f"unknown backend {self.backend!r}")
 
 
 def config_for_profile(profile: str, backend: str = "echo",
                        **overrides) -> GenerationConfig:
     if profile not in PROFILES:
-        raise ParseError(f"unknown profile {profile!r} "
-                         f"(expected one of {sorted(PROFILES)})")
+        raise AagError(f"unknown profile {profile!r} "
+                       f"(expected one of {sorted(PROFILES)})")
     params = dict(PROFILES[profile])
     params.update(overrides)
     return GenerationConfig(backend=backend, **params)
@@ -89,14 +88,11 @@ def _remote(prompt: str, config: GenerationConfig) -> str:
             resp = requests.post(url, json=payload, headers=headers,
                                  timeout=config.timeout)
         except requests.Timeout as e:
-            raise GenerationTimeoutError(
-                f"generation timed out after {config.timeout}s") from e
+            raise AagError(f"generation timed out after {config.timeout}s") from e
         except requests.RequestException as e:
             last = str(e)
             resp = None
         if resp is not None:
-            if resp.status_code in (401, 403):
-                raise AuthError(resp.status_code, resp.text)
             if resp.status_code == 200:
                 try:
                     return resp.json()["choices"][0]["message"]["content"]

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Union
 
 from . import constants
-from .errors import UnsupportedPatternError
+from .errors import AagError
 from .plans import Param, SqrPlan, StepInfo, StepRef, analyze_plan
 from .ring import Ring
 from .types import DatetimeValue, ResultSet
@@ -81,16 +81,15 @@ def _agg(op: str, xs: list):
         return sorted(vals)[0]
     if op == "string_agg":
         return constants.STRING_AGG_SEPARATOR.join(str(v) for v in sorted(vals))
-    if op == "correlation":
-        raise UnsupportedPatternError("correlation of a single column")
-    raise UnsupportedPatternError(f"aggregation {op!r}")
+    raise AagError(f"aggregation {op!r}")
 
 
 def _correlation(xs: list, ys: list):
     pairs = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
-    if len(pairs) < 2:
+    try:
+        return statistics.correlation([p[0] for p in pairs], [p[1] for p in pairs])
+    except statistics.StatisticsError:  # under two pairs, or a constant input
         return None
-    return statistics.correlation([p[0] for p in pairs], [p[1] for p in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def _apply_op(op: str, args: list):
         start = datetime.fromisoformat(str(a[0]))
         end = datetime.fromisoformat(str(a[1]))
         return round((end - start).total_seconds())
-    raise UnsupportedPatternError(f"operation {op!r}")
+    raise AagError(f"operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,7 @@ def oracle_eval(ring: Ring, plan: SqrPlan,
                 dataset: MemoryDataset) -> ResultSet:
     """Evaluate a plan against in-memory tables, canonically ordered."""
     if plan.steps[plan.result].op != "return":
-        raise UnsupportedPatternError(
-            "plan must terminate in a materialization")
+        raise AagError("plan must terminate in a materialization")
     info = analyze_plan(ring, plan)
     ev = _Evaluator(ring, plan, info, dataset)
     return ev.eval_return(plan.result)
@@ -236,7 +234,7 @@ class _Evaluator:
                     partner = j
                     break
             if rel is None:
-                raise UnsupportedPatternError(
+                raise AagError(
                     f"no relationship connects {ename!r} to the plan's other "
                     f"entities")
             new_envs = []
@@ -277,8 +275,7 @@ class _Evaluator:
                     return False
                 bound[lt] = matches[0]
             else:
-                raise UnsupportedPatternError(
-                    f"join {join_name!r} connects no bound table")
+                raise AagError(f"join {join_name!r} connects no bound table")
         return True
 
     # -- per-row values -------------------------------------------------------
@@ -322,11 +319,9 @@ class _Evaluator:
         entity_labels = sorted(
             l for l in region if self.plan.steps[l].op == "retrieve_entity")
         if entity_labels and row_sources:
-            raise UnsupportedPatternError(
-                "region mixes entity scans with multi-row materializations")
+            raise AagError("region mixes entity scans with multi-row materializations")
         if len(row_sources) > 1:
-            raise UnsupportedPatternError(
-                "region reads more than one multi-row materialization")
+            raise AagError("region reads more than one multi-row materialization")
 
         if entity_labels:
             envs = self._entity_rows(entity_labels)
@@ -383,26 +378,6 @@ class _Evaluator:
 
         return get_signature(self.plan.steps[label].op).is_aggregation
 
-    def _agg_inputs(self, label: str, indexed, value):
-        step = self.plan.steps[label]
-        si = self.info[label]
-        inner = si.value_label
-        if self._is_agg(inner):
-            # aggregation over a grouped aggregation's per-group values
-            inner_si = self.info[inner]
-            if inner_si.grouping_label is None:
-                raise UnsupportedPatternError(
-                    "aggregation over an ungrouped aggregation")
-            groups: dict[tuple, list] = {}
-            keys = self.info[inner_si.grouping_label].key_labels
-            for i, env in indexed:
-                k = tuple(_norm(value(kl, env, i)) for kl in keys)
-                groups.setdefault(k, []).append(
-                    value(inner_si.value_label, env, i))
-            inner_op = self.plan.steps[inner].op
-            return [_agg(inner_op, vs) for vs in groups.values()]
-        return [value(inner, env, i) for i, env in indexed]
-
     def _eval_aggregated(self, ret, key_labels, agg_labels, indexed,
                          value) -> list[tuple]:
         grouped = [l for l in agg_labels
@@ -424,31 +399,41 @@ class _Evaluator:
                                    if label in keys
                                    else value(label, members[0][1], members[0][0]))
                     else:
-                        step = self.plan.steps[label]
-                        inner = self.info[label].value_label
-                        vals = [value(inner, env, i) for i, env, _ in members]
-                        out.append(_agg(step.op, vals))
+                        out.append(self._aggregate(
+                            label, [(i, env) for i, env, _ in members], value))
                 rows.append(tuple(out))
             return rows
         # scalar aggregations
         out = []
         for label in ret.collection_labels:
             if label in agg_labels:
-                step = self.plan.steps[label]
-                if step.op == "correlation":
-                    refs = [a.label for a in step.args
-                            if isinstance(a, StepRef)]
-                    xs = [value(refs[0], env, i) for i, env in indexed]
-                    ys = [value(refs[1], env, i) for i, env in indexed]
-                    out.append(_correlation(xs, ys))
-                else:
-                    out.append(_agg(step.op,
-                                    self._agg_inputs(label, indexed, value)))
+                out.append(self._aggregate(label, indexed, value))
             else:
-                raise UnsupportedPatternError(
-                    "per-row column collected alongside an ungrouped "
-                    "aggregation")
+                raise AagError("per-row column collected alongside an ungrouped "
+                               "aggregation")
         return [tuple(out)]
+
+    def _aggregate(self, label: str, indexed, value):
+        """The aggregation ``label`` over the rows ``indexed``."""
+        step = self.plan.steps[label]
+        if step.op == "correlation":
+            x, y = [a.label for a in step.args if isinstance(a, StepRef)][:2]
+            return _correlation([value(x, env, i) for i, env in indexed],
+                                [value(y, env, i) for i, env in indexed])
+        inner = self.info[label].value_label
+        if not self._is_agg(inner):
+            return _agg(step.op, [value(inner, env, i) for i, env in indexed])
+        # aggregation over a grouped aggregation's per-group values
+        inner_si = self.info[inner]
+        if inner_si.grouping_label is None:
+            raise AagError("aggregation over an ungrouped aggregation")
+        groups: dict[tuple, list] = {}
+        keys = self.info[inner_si.grouping_label].key_labels
+        for i, env in indexed:
+            k = tuple(_norm(value(kl, env, i)) for kl in keys)
+            groups.setdefault(k, []).append((i, env))
+        return _agg(step.op, [self._aggregate(inner, rows, value)
+                              for rows in groups.values()])
 
     def _order_and_limit(self, ret, rows) -> list[tuple]:
         col_labels = list(ret.collection_labels)

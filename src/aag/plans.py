@@ -27,12 +27,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from . import registry
-from .errors import (
-    CycleError,
-    ParseError,
-    UnknownAttributeError,
-    UnknownEntityError,
-)
+from .errors import AagError
 from .types import AttributeType as T, ColumnMeta, DatetimeValue, TypeSet, typeset
 
 PLAN_FORMAT_VERSION = "sqr_plan_v1"
@@ -93,9 +88,9 @@ def parse_literal(raw: Any) -> Arg:
     if isinstance(raw, (bool, int, float)):
         return raw
     if not isinstance(raw, str):
-        raise ParseError(f"{raw!r} is not a literal: a number, string or bool")
+        raise AagError(f"{raw!r} is not a literal: a number, string or bool")
     if len(raw) > 2 and raw[0] + raw[-1] in ("||", "{}"):
-        raise ParseError(f"{raw!r} is written as a reference or a slot")
+        raise AagError(f"{raw!r} is written as a reference or a slot")
     return DatetimeValue(raw) if DatetimeValue.matches(raw) else raw
 
 
@@ -110,29 +105,31 @@ def serialize_arg(arg: Arg) -> Any:
 
 def _steps_from_doc(raw_steps: Any, allow_slots: bool) -> dict[str, SqrStep]:
     if not isinstance(raw_steps, dict) or not raw_steps:
-        raise ParseError("plan must have at least one step")
+        raise AagError("plan must have at least one step")
     steps: dict[str, SqrStep] = {}
     for label, body in raw_steps.items():
         if not isinstance(body, dict) or "op" not in body:
-            raise ParseError(f"step {label!r} must be an object with an 'op' field")
-        op = body["op"]
-        if op not in registry.REGISTRY:
-            raise ParseError(f"step {label!r}: unknown operation {op!r}")
-        args = tuple(parse_arg(a, allow_slots) for a in body.get("args", []))
-        steps[label] = SqrStep(label=label, op=op, args=args)
+            raise AagError(f"step {label!r} must be an object with an 'op' field")
+        op, args = body["op"], body.get("args", [])
+        if not isinstance(op, str) or op not in registry.REGISTRY:
+            raise AagError(f"step {label!r}: unknown operation {op!r}")
+        if not isinstance(args, list):
+            raise AagError(f"step {label!r}: 'args' must be a list, got {args!r}")
+        steps[label] = SqrStep(label, op,
+                               tuple(parse_arg(a, allow_slots) for a in args))
     return steps
 
 
 def plan_from_dict(doc: dict, allow_slots: bool = False) -> SqrPlan:
     steps = _steps_from_doc(doc.get("steps"), allow_slots)
     result = doc.get("result")
-    if result not in steps:
-        raise ParseError(f"result label {result!r} does not name a step")
+    if not isinstance(result, str) or result not in steps:
+        raise AagError(f"result label {result!r} does not name a step")
     plan = SqrPlan(steps=steps, result=result)
     for label in steps:
         for ref in plan.refs(label):
             if ref not in steps:
-                raise ParseError(f"step {label!r} references missing step |{ref}|")
+                raise AagError(f"step {label!r} references missing step |{ref}|")
     return plan
 
 
@@ -143,9 +140,9 @@ def parse_plan(doc: Union[str, dict]) -> SqrPlan:
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
+            raise AagError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise ParseError("plan document must be a JSON object")
+        raise AagError("plan document must be a JSON object")
     plan = plan_from_dict(doc)
     if plan.steps[plan.result].op != "return":
         label = "_R"
@@ -209,7 +206,7 @@ def literal_types(arg: Arg) -> TypeSet:
         return typeset(T.DATETIME)
     if isinstance(arg, str):
         return typeset(T.STRING)
-    raise ParseError(f"cannot type literal {arg!r}")
+    raise AagError(f"cannot type literal {arg!r}")
 
 
 def toposort(plan: SqrPlan) -> list[str]:
@@ -221,7 +218,7 @@ def toposort(plan: SqrPlan) -> list[str]:
         if s == 2:
             return
         if s == 1:
-            raise CycleError(f"cycle through step {label!r}")
+            raise AagError(f"cycle through step {label!r}")
         state[label] = 1
         for ref in plan.refs(label):
             visit(ref)
@@ -259,7 +256,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
         if isinstance(arg, StepRef):
             return info[arg.label].types
         if isinstance(arg, SlotArg):
-            raise ParseError(f"unfilled slot {{{arg.name}}} in plan")
+            raise AagError(f"unfilled slot {{{arg.name}}} in plan")
         return literal_types(arg)
 
     def step_args(step: SqrStep) -> list[StepRef]:
@@ -275,7 +272,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
         if step.op == "retrieve_entity":
             name = step.args[0]
             if not isinstance(name, str) or ring.entity(name) is None:
-                raise UnknownEntityError(f"step {label!r}: unknown entity {name!r}")
+                raise AagError(f"step {label!r}: unknown entity {name!r}")
             info[label] = StepInfo(types=typeset(T.ENTITY), name=name, entity=name)
 
         elif step.op == "retrieve_attribute":
@@ -284,7 +281,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
             if src_info.entity is not None:
                 attr = ring.attribute(src_info.entity, attr_name)
                 if attr is None or attr.derived:
-                    raise UnknownAttributeError(
+                    raise AagError(
                         f"step {label!r}: entity {src_info.entity!r} has no "
                         f"retrievable attribute {attr_name!r}"
                     )
@@ -296,7 +293,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
                 col = next((c for _, c in src_info.columns if c.name == attr_name),
                            None)
                 if col is None:
-                    raise UnknownAttributeError(
+                    raise AagError(
                         f"step {label!r}: relation |{src.label}| has no column "
                         f"{attr_name!r}"
                     )
@@ -311,6 +308,9 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
                           if si == 0]
             grouping = next((r for r, si in zip(refs, _ref_assignment(step, assignment))
                              if si == 1), None)
+            if not value_refs:
+                raise AagError(f"step {label!r}: {step.op} aggregates a literal, "
+                               f"not a step")
             base = info[value_refs[0].label]
             units = (base.units if step.op in registry.UNIT_KEEPING_AGGREGATIONS
                      else None)
@@ -349,7 +349,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
         elif step.op == "sort":
             direction = step.args[-1]
             if direction not in ("asc", "desc"):
-                raise ParseError(
+                raise AagError(
                     f"step {label!r}: sort direction must be 'asc' or 'desc', "
                     f"got {direction!r}"
                 )
@@ -393,7 +393,7 @@ def _analyze_return(plan: SqrPlan, info: dict[str, StepInfo], step: SqrStep,
     roles: dict[int, str] = {}
     for arg, si in zip(step.args, assignment):
         if not isinstance(arg, StepRef):
-            raise ParseError(f"step {step.label!r}: return arguments must be references")
+            raise AagError(f"step {step.label!r}: return arguments must be references")
         roles.setdefault(si, arg.label)
     collection = roles[0]
     coll_info = info[collection]
@@ -438,6 +438,6 @@ def _analyze_return(plan: SqrPlan, info: dict[str, StepInfo], step: SqrStep,
 def ensure_no_dead_steps(plan: SqrPlan) -> None:
     dead = set(plan.steps) - reachable_from_result(plan)
     if dead:
-        raise ParseError(
+        raise AagError(
             f"steps not reachable from result: {sorted(dead)}"
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArityError, PlanTypeError
+from .errors import AagError
 from .types import ATTRIBUTE_LIKE, AttributeType as T, TypeSet, typeset
 
 # Sentinel sets used by signatures. "Attribute" means any attribute-valued
@@ -168,9 +168,14 @@ def match_args(sig: OperationSignature, label: str,
     """Assign each argument to an input slot of the signature.
 
     Returns the slot index for each argument, in order. Required slots consume
-    arguments unconditionally and raise PlanTypeError on a kind mismatch;
-    optional and variable slots consume arguments only while they match.
+    arguments unconditionally and raise on a kind mismatch; optional and
+    variable slots consume arguments only while they match.
     """
+    def mismatch(spec: InputSpec, found: TypeSet) -> AagError:
+        return AagError(f"step {label}: expected input in "
+                        f"{sorted(describe_allowed(spec.allowed))}, "
+                        f"found {sorted(t.value for t in found)}")
+
     assignment: list[int] = []
     pos = 0
     n = len(arg_types)
@@ -180,10 +185,10 @@ def match_args(sig: OperationSignature, label: str,
         # required portion
         while taken < spec.min_arity:
             if pos >= n:
-                raise ArityError(label, f"operation {sig.name!r} needs more arguments")
+                raise AagError(f"step {label}: operation {sig.name!r} needs "
+                               f"more arguments")
             if not spec_accepts(spec.allowed, arg_types[pos]):
-                raise PlanTypeError(label, describe_allowed(spec.allowed),
-                                    {t.value for t in arg_types[pos]})
+                raise mismatch(spec, arg_types[pos])
             assignment.append(si)
             pos += 1
             taken += 1
@@ -202,7 +207,7 @@ def match_args(sig: OperationSignature, label: str,
         counts = [assignment.count(i) for i in range(len(specs))]
         for si, spec in enumerate(specs):
             if spec.max_arity is None or counts[si] < spec.max_arity:
-                raise PlanTypeError(label, describe_allowed(spec.allowed),
-                                    {t.value for t in arg_types[pos]})
-        raise ArityError(label, f"operation {sig.name!r} got {n - pos} extra argument(s)")
+                raise mismatch(spec, arg_types[pos])
+        raise AagError(f"step {label}: operation {sig.name!r} got {n - pos} "
+                       f"extra argument(s)")
     return assignment

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import registry
-from .errors import ParseError, Violation
+from .errors import AagError
 from .types import AttributeType, TypeSet
 
 RING_FORMAT_VERSION = "ring_schema_v1"
@@ -120,7 +120,7 @@ class Ring:
 
     def db_path(self, base: Union[str, Path, None] = None) -> Path:
         if not self.db.startswith("sqlite://"):
-            raise ParseError(f"unsupported db url: {self.db!r}")
+            raise AagError(f"unsupported db url: {self.db!r}")
         rel = Path(self.db[len("sqlite://"):])
         if rel.is_absolute() or base is None:
             return rel
@@ -131,40 +131,69 @@ class Ring:
 # loading
 
 
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, path: str):
+    """``value``, which the ring field at ``path`` must hold as a ``kind``."""
+    if not isinstance(value, kind):
+        raise AagError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _strings(obj: dict, path: str, *keys: str) -> list[str]:
+    """The required string fields ``keys`` of the object at ``path``."""
+    return [_typed(obj[key], str, f"{path}.{key}") for key in keys]
+
+
+def _items(obj: dict, key: str, path: str = "", kind: type = dict) -> list:
+    """(path, item) for each item of the optional list ``obj[key]``."""
+    path = f"{path}.{key}" if path else key
+    return [(f"{path}[{i}]", _typed(x, kind, f"{path}[{i}]"))
+            for i, x in enumerate(_typed(obj.get(key, []), list, path))]
+
+
+def _is_pair(raw) -> bool:
+    return isinstance(raw, list) and len(raw) == 2 and all(
+        isinstance(s, str) for s in raw)
+
+
 def _parse_units(raw) -> tuple[str, str] | None:
     if raw is None:
         return None
     if isinstance(raw, str):
         return (raw, raw)
-    if isinstance(raw, list) and len(raw) == 2:
+    if _is_pair(raw):
         return (raw[0], raw[1])
-    raise ParseError(f"units must be a string or [singular, plural] pair: {raw!r}")
+    raise AagError(f"units must be a string or [singular, plural] pair: {raw!r}")
 
 
 def _parse_types(raw, where: str) -> TypeSet:
     if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{where}: 'types' must be a non-empty list")
+        raise AagError(f"{where}: 'types' must be a non-empty list")
     out = set()
     for t in raw:
         try:
             out.add(AttributeType(t))
         except ValueError:
-            raise ParseError(f"{where}: unknown attribute kind {t!r}") from None
+            raise AagError(f"{where}: unknown attribute kind {t!r}") from None
     return frozenset(out)
 
 
-def _parse_attribute(raw: dict, where: str) -> AttributeDef:
+def _parse_attribute(raw: dict, path: str, entity: str) -> AttributeDef:
+    name, = _strings(raw, path, "name")
+    where = f"entities.{entity}.attributes.{name}"
     source = raw.get("source")
-    src = None
-    if source is not None:
-        if not isinstance(source, list) or len(source) != 2:
-            raise ParseError(f"{where}: 'source' must be a [table, column] pair")
-        src = (source[0], source[1])
+    if source is not None and not _is_pair(source):
+        raise AagError(f"{where}: 'source' must be a [table, column] pair")
+    for key in ("nicename", "base_attribute", "derivation"):
+        if raw.get(key) is not None:
+            _typed(raw[key], str, f"{path}.{key}")
     return AttributeDef(
-        name=raw["name"],
+        name=name,
         types=_parse_types(raw.get("types"), where),
-        nicename=raw.get("nicename", raw["name"]),
-        source=src,
+        nicename=raw.get("nicename", name),
+        source=None if source is None else (source[0], source[1]),
         units=_parse_units(raw.get("units")),
         derived=bool(raw.get("derived", False)),
         base_attribute=raw.get("base_attribute"),
@@ -173,39 +202,41 @@ def _parse_attribute(raw: dict, where: str) -> AttributeDef:
 
 
 def ring_from_dict(doc: dict) -> Ring:
+    """The ring in ``doc``, every field checked for its JSON type."""
     if not isinstance(doc, dict):
-        raise ParseError("ring document must be a JSON object")
+        raise AagError("ring document must be a JSON object")
     if doc.get("version") != RING_FORMAT_VERSION:
-        raise ParseError(
+        raise AagError(
             f"unsupported ring version: {doc.get('version')!r} "
             f"(expected {RING_FORMAT_VERSION!r})"
         )
     try:
-        tables = tuple(TableDef(t["name"], t["primary_key"])
-                       for t in doc.get("tables", []))
-        joins = tuple(JoinDef(j["name"], j["left"], j["right"])
-                      for j in doc.get("joins", []))
+        tables = tuple(TableDef(*_strings(t, w, "name", "primary_key"))
+                       for w, t in _items(doc, "tables"))
+        joins = tuple(JoinDef(*_strings(j, w, "name", "left", "right"))
+                      for w, j in _items(doc, "joins"))
         entities = []
-        for e in doc.get("entities", []):
-            nn = e.get("nicename", [e["name"], e["name"]])
-            if isinstance(nn, str):
-                nn = [nn, nn]
-            attrs = tuple(
-                _parse_attribute(a, f"entities.{e['name']}.attributes.{a.get('name')}")
-                for a in e.get("attributes", [])
-            )
-            entities.append(EntityDef(e["name"], (nn[0], nn[1]),
-                                      e["primary_table"], attrs))
+        for w, e in _items(doc, "entities"):
+            name, = _strings(e, w, "name")
+            nn = e.get("nicename", name)
+            nn = [nn, nn] if isinstance(nn, str) else nn
+            if not _is_pair(nn):
+                raise AagError(f"{w}.nicename must be a string or [singular, "
+                               f"plural] pair, got {nn!r}")
+            attrs = tuple(_parse_attribute(a, aw, name)
+                          for aw, a in _items(e, "attributes", w))
+            entities.append(EntityDef(name, (nn[0], nn[1]),
+                                      *_strings(e, w, "primary_table"), attrs))
         rels = tuple(
-            RelationshipDef(r["name"], r["from"], r["to"],
-                            tuple(r.get("join_path", [])))
-            for r in doc.get("relationships", [])
+            RelationshipDef(*_strings(r, w, "name", "from", "to"),
+                            tuple(j for _, j in _items(r, "join_path", w, str)))
+            for w, r in _items(doc, "relationships")
         )
     except KeyError as e:
-        raise ParseError(f"ring document is missing required field {e}") from e
+        raise AagError(f"ring document is missing required field {e}") from e
     return Ring(
-        name=doc.get("name", ""),
-        db=doc.get("db", ""),
+        name=_typed(doc.get("name", ""), str, "name"),
+        db=_typed(doc.get("db", ""), str, "db"),
         tables=tables,
         joins=joins,
         entities=tuple(entities),
@@ -219,12 +250,24 @@ def load_ring(path: Union[str, Path], text: Optional[str] = None) -> Ring:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e}") from e
+        raise AagError(f"invalid JSON in {path}: {e}") from e
     return ring_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One machine-readable invariant violation with a path to the offending field."""
+
+    code: str
+    path: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.code} at {self.path}: {self.message}"
 
 
 def _split_colref(ref: str) -> tuple[str, str] | None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Any, Optional
 
-from .errors import EmptyFactsError, MissingColumnError, ParseError, \
-    UnexpectedRowCountError
+from .errors import AagError
 from .types import ColumnMeta, DatetimeValue, ResultSet
 
 
@@ -30,7 +29,7 @@ def _format_number(value) -> str:
         return f"{value:,}" if abs(value) >= 10_000 else str(value)
     if isinstance(value, float):
         if not math.isfinite(value):  # e.g. a SUM past the largest double
-            raise ParseError(f"not a finite number: {value!r}")
+            raise AagError(f"not a finite number: {value!r}")
         if value == int(value) and abs(value) < 1e15:
             # keep one decimal so numeric results read as measurements
             whole = _format_number(int(value))
@@ -42,7 +41,7 @@ def _format_number(value) -> str:
         if text.endswith(".00"):
             text = text[:-1]
         return text
-    raise ParseError(f"not a number: {value!r}")
+    raise AagError(f"not a number: {value!r}")
 
 
 def format_value(value: Any, units: Optional[tuple[str, str]] = None,
@@ -116,7 +115,7 @@ def binding_from_dict(doc: dict) -> Binding:
 
 def statement_template_from_dict(doc: dict) -> StatementTemplate:
     if "template" not in doc:
-        raise ParseError("statement template needs a 'template' string")
+        raise AagError("statement template needs a 'template' string")
     bindings = {name: binding_from_dict(b)
                 for name, b in doc.get("bindings", {}).items()}
     return StatementTemplate(template=doc["template"], bindings=bindings,
@@ -135,7 +134,7 @@ def join_phrase(items: list[str]) -> str:
 
 def _column(result: ResultSet, index: int) -> ColumnMeta:
     if index < 0 or index >= len(result.columns):
-        raise MissingColumnError(
+        raise AagError(
             f"statement binding references column {index}, but the result "
             f"has {len(result.columns)} column(s)"
         )
@@ -155,7 +154,7 @@ def render_statement(template: StatementTemplate, result: ResultSet,
     scalar_columns = [b for b in template.bindings.values()
                       if b.column is not None and not b.as_list]
     if scalar_columns and len(result.rows) != 1:
-        raise UnexpectedRowCountError(
+        raise AagError(
             f"statement expects exactly one result row, got {len(result.rows)}"
         )
     for name, b in template.bindings.items():
@@ -164,15 +163,14 @@ def render_statement(template: StatementTemplate, result: ResultSet,
             continue
         if b.input is not None:
             if b.input not in inputs:
-                raise MissingColumnError(
-                    f"statement binding {name!r} needs input {b.input!r}")
+                raise AagError(f"statement binding {name!r} needs input {b.input!r}")
             values[name] = inputs[b.input]
             continue
         col = _column(result, b.column)
         units = None if b.bare else col.units
         if b.as_list:
             if not result.rows:
-                raise EmptyFactsError("cannot render a list from an empty result")
+                raise AagError("cannot render a list from an empty result")
             parts = [format_value(row[b.column], units) for row in result.rows]
             values[name] = join_phrase(parts)
         else:
@@ -180,14 +178,14 @@ def render_statement(template: StatementTemplate, result: ResultSet,
             if raw is None:
                 if template.null_statement is not None:
                     return template.null_statement
-                raise MissingColumnError(
+                raise AagError(
                     f"statement binding {name!r} got a null value and the "
                     f"template declares no null_statement")
             text = format_value(raw, units)
             if b.word_map is not None:
                 key = format_value(raw, None)
                 if key not in b.word_map:
-                    raise MissingColumnError(
+                    raise AagError(
                         f"statement binding {name!r}: no word mapping for "
                         f"{key!r}")
                 text = b.word_map[key]
@@ -195,8 +193,7 @@ def render_statement(template: StatementTemplate, result: ResultSet,
     try:
         return template.template.format(**values)
     except KeyError as e:
-        raise MissingColumnError(
-            f"statement template placeholder {e} has no binding") from e
+        raise AagError(f"statement template placeholder {e} has no binding") from e
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .errors import (
-    ParseError,
-    SlotKindMismatchError,
-    UnboundSlotError,
-    WiringError,
-)
+from .errors import AagError
 from .plans import (
     SlotArg,
     SqrPlan,
@@ -64,7 +59,7 @@ class PlanTemplate:
 def _parse_slot(name: str, doc: dict) -> SlotDef:
     kind = doc.get("kind")
     if kind not in SLOT_KINDS:
-        raise ParseError(f"slot {name!r}: unknown kind {kind!r}")
+        raise AagError(f"slot {name!r}: unknown kind {kind!r}")
     types = None
     if "types" in doc:
         types = frozenset(AttributeType(t) for t in doc["types"])
@@ -74,8 +69,7 @@ def _parse_slot(name: str, doc: dict) -> SlotDef:
 
 def template_from_dict(doc: dict) -> PlanTemplate:
     if doc.get("version") != TEMPLATE_FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported template version: {doc.get('version')!r}")
+        raise AagError(f"unsupported template version: {doc.get('version')!r}")
     plan = plan_from_dict({"steps": doc["steps"], "result": doc["result"]},
                           allow_slots=True)
     slots = {name: _parse_slot(name, s)
@@ -84,8 +78,8 @@ def template_from_dict(doc: dict) -> PlanTemplate:
             if isinstance(a, SlotArg)}
     unknown = used - set(slots)
     if unknown:
-        raise ParseError(f"template {doc.get('id')!r} uses undeclared "
-                         f"slots: {sorted(unknown)}")
+        raise AagError(f"template {doc.get('id')!r} uses undeclared "
+                       f"slots: {sorted(unknown)}")
     statement = None
     if "statement" in doc:
         statement = statement_template_from_dict(doc["statement"])
@@ -153,12 +147,12 @@ def compose_plans(template_plan: SqrPlan, parts: list[SqrPlan],
     def substitute(arg):
         if isinstance(arg, SlotArg):
             if arg.name not in wiring:
-                raise WiringError(f"placeholder {{{arg.name}}} is not wired "
-                                  f"to any part")
+                raise AagError(f"placeholder {{{arg.name}}} is not wired "
+                               f"to any part")
             idx = wiring[arg.name]
             if not (0 <= idx < len(prefixed)):
-                raise WiringError(f"placeholder {{{arg.name}}} wired to "
-                                  f"missing part {idx}")
+                raise AagError(f"placeholder {{{arg.name}}} wired to "
+                               f"missing part {idx}")
             return StepRef(prefixed[idx].result)
         return arg
 
@@ -187,12 +181,11 @@ def fill_template(ring, template: PlanTemplate,
     """
     for name, slot in template.slots.items():
         if slot.required and name not in bindings:
-            raise UnboundSlotError(f"slot {name!r} of template "
-                                   f"{template.id!r} is unbound")
+            raise AagError(f"slot {name!r} of template "
+                           f"{template.id!r} is unbound")
     unknown = set(bindings) - set(template.slots)
     if unknown:
-        raise UnboundSlotError(
-            f"template {template.id!r} has no slots named {sorted(unknown)}")
+        raise AagError(f"template {template.id!r} has no slots named {sorted(unknown)}")
 
     literals: dict[str, Any] = {}
     plan_slots: list[tuple[str, SqrPlan]] = []
@@ -203,12 +196,11 @@ def fill_template(ring, template: PlanTemplate,
         value = bindings[name]
         if slot.kind == "literal":
             if isinstance(value, SqrPlan):
-                raise SlotKindMismatchError(
-                    f"slot {name!r} takes a literal, got a plan")
+                raise AagError(f"slot {name!r} takes a literal, got a plan")
             literals[name] = value
         else:
             if not isinstance(value, SqrPlan):
-                raise SlotKindMismatchError(
+                raise AagError(
                     f"slot {name!r} takes a plan, got {type(value).__name__}")
             plan_slots.append((name, value))
 
@@ -229,17 +221,17 @@ def fill_template(ring, template: PlanTemplate,
         terminal = part_info[idx][parts[idx].result]
         got = terminal.types
         if slot.kind == "filter" and AttributeType.FILTER not in got:
-            raise SlotKindMismatchError(
+            raise AagError(
                 f"slot {name!r} needs a filter-producing plan, got "
                 f"{sorted(t.value for t in got)}")
         if slot.kind == "access-plan":
             if AttributeType.ENTITY not in got:
-                raise SlotKindMismatchError(
+                raise AagError(
                     f"slot {name!r} needs a plan ending in a materialization, "
                     f"got {sorted(t.value for t in got)}")
             if slot.types:
                 if not any(c.types & slot.types for _, c in terminal.columns):
-                    raise SlotKindMismatchError(
+                    raise AagError(
                         f"slot {name!r} needs a column of kind "
                         f"{sorted(t.value for t in slot.types)}")
 

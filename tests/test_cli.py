@@ -52,6 +52,31 @@ def test_ring_validate_reports_violations(tmp_path):
     assert "UnknownTable" in result.output
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(tables=[1]), "tables[0] must be an object, got 1"),
+    (lambda d: d.update(tables="x"), "tables must be a list, got 'x'"),
+    (lambda d: d["entities"][0]["attributes"][0].update(name=["x"]),
+     "entities[0].attributes[0].name must be a string, got ['x']"),
+    (lambda d: d["entities"][0].update(primary_table=["x"]),
+     "entities[0].primary_table must be a string, got ['x']"),
+    (lambda d: d["entities"][0].update(nicename=["x"]),
+     "entities[0].nicename must be a string or [singular, plural] pair, "
+     "got ['x']"),
+    (lambda d: d["joins"][0].update(left=5), "joins[0].left must be a string, got 5"),
+], ids=["table_number", "tables_text", "attribute_name_list",
+        "primary_table_list", "nicename_short", "join_left_number"])
+def test_ring_validate_rejects_fields_of_the_wrong_type(tmp_path, change,
+                                                         message):
+    doc = json.loads(RING_PATH.read_text())
+    change(doc)
+    bad = tmp_path / "bad_ring.json"
+    bad.write_text(json.dumps(doc))
+    result = invoke(["ring", "validate", "--ring", str(bad)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_missing_file_is_a_usage_error():
     result = invoke(["ring", "validate", "--ring", "no.json"])
     assert result.exit_code == 2
@@ -113,6 +138,29 @@ def test_plan_run_fails_cleanly_without_database(tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     # the database is opened read-only, so a missing one is not created
     assert [p.name for p in tmp_path.iterdir()] == ["ring.json"]
+
+
+@pytest.mark.parametrize("step, result, message", [
+    ({"op": ["x"], "args": []}, "A", "step 'A': unknown operation ['x']"),
+    ({"op": "retrieve_entity", "args": "Wildfire"}, "A",
+     "step 'A': 'args' must be a list, got 'Wildfire'"),
+    ({"op": "retrieve_entity", "args": {"a": 1}}, "A",
+     "step 'A': 'args' must be a list, got {'a': 1}"),
+    ({"op": "retrieve_entity", "args": ["Wildfire"]}, ["A"],
+     "result label ['A'] does not name a step"),
+    ({"op": "average", "args": [1]}, "A",
+     "step 'A': average aggregates a literal, not a step"),
+], ids=["op_list", "args_text", "args_object", "result_list", "literal_average"])
+def test_plan_run_rejects_malformed_plan(cli_ring_path, tmp_path, step, result,
+                                         message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"version": "sqr_plan_v1", "steps": {"A": step},
+                                "result": result}))
+    out = invoke(["plan", "run", "--ring", str(cli_ring_path), "--plan",
+                  str(plan)])
+    assert out.exit_code == 1
+    assert isinstance(out.exception, SystemExit)  # no traceback
+    assert out.stderr == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -181,12 +181,12 @@ def test_correlation_short_input_is_none():
 def test_result_that_is_not_a_return_is_rejected_like_the_compiler(ring,
                                                                    dataset):
     from aag.compiler import compile_plan
-    from aag.errors import UnsupportedPatternError
+    from aag.errors import AagError
 
     plan = plan_from_dict(_steps({
         "V": {"op": "average", "args": ["|B|"]}}, "V"))
     for evaluate in (lambda: oracle_eval(ring, plan, dataset),
                      lambda: compile_plan(ring, plan)):
-        with pytest.raises(UnsupportedPatternError,
-                           match="must terminate in a materialization"):
+        with pytest.raises(AagError,
+                           match=r"^plan must terminate in a materialization$"):
             evaluate()

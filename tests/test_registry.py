@@ -2,7 +2,7 @@
 
 import pytest
 
-from aag.errors import ArityError, PlanTypeError
+from aag.errors import AagError
 from aag.registry import (
     ATTRIBUTE,
     ATTRIBUTE_COLLECTION,
@@ -37,9 +37,8 @@ def ok(op, *arg_types):
 
 
 def bad(op, *arg_types):
-    with pytest.raises(PlanTypeError) as e:
+    with pytest.raises(AagError, match=r"^step X: expected input in"):
         match_args(get_signature(op), "X", list(arg_types))
-    assert e.value.label == "X"
 
 
 def test_registry_is_complete():
@@ -71,7 +70,8 @@ def test_average_rejects_datetime():
 def test_correlation_takes_two_values():
     ok("correlation", METRIC, METRIC)
     ok("correlation", METRIC, DATE, GROUP)
-    with pytest.raises(ArityError):
+    with pytest.raises(AagError, match=r"^step X: operation 'correlation' "
+                                      r"needs more arguments$"):
         ok("correlation", METRIC)
 
 
@@ -150,7 +150,8 @@ def test_sort_takes_keys_then_direction():
     ok("sort", METRIC, STR)
     ok("sort", METRIC, CATEG, STR)
     bad("sort", FILT, STR)
-    with pytest.raises(ArityError):
+    with pytest.raises(AagError, match=r"^step X: operation 'sort' "
+                                      r"needs more arguments$"):
         ok("sort", METRIC)
 
 
@@ -166,7 +167,8 @@ def test_return_slots():
     ok("return", COLL, FILT, SORT, LIM)
     ok("return", COLL, SORT, LIM)     # filter is optional
     bad("return", FILT)
-    with pytest.raises(ArityError):
+    with pytest.raises(AagError, match=r"^step X: operation 'return' "
+                                      r"got 1 extra argument\(s\)$"):
         ok("return", COLL, FILT, SORT, LIM, LIM)
 
 
@@ -178,7 +180,8 @@ def test_retrieval_ops():
 
 
 def test_extra_arguments_are_rejected():
-    with pytest.raises(ArityError):
+    with pytest.raises(AagError, match=r"^step X: operation 'average' "
+                                      r"got 1 extra argument\(s\)$"):
         ok("average", METRIC, GROUP, GROUP)
 
 

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from aag.errors import ParseError
+from aag.errors import AagError
 from aag.ring import derive_attributes, load_ring, ring_from_dict, validate_ring
 
 from conftest import RING_PATH
@@ -15,7 +16,8 @@ def test_seed_ring_is_valid(base_ring):
 def test_version_is_enforced():
     doc = json.loads(RING_PATH.read_text())
     doc["version"] = "something_else"
-    with pytest.raises(ParseError):
+    with pytest.raises(AagError, match=r"^unsupported ring version: "
+                       r"'something_else' \(expected 'ring_schema_v1'\)$"):
         ring_from_dict(doc)
 
 
@@ -102,5 +104,6 @@ def test_derived_units_follow_the_base(base_ring):
 def test_load_ring_rejects_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(AagError, match=rf"^invalid JSON in {re.escape(str(bad))}: "
+                                      r"Expecting property name"):
         load_ring(bad)

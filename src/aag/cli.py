@@ -41,9 +41,8 @@ def _emit(text: str, out: str | None) -> None:
             os.unlink(tmp)
 
 
-def _echo_sql(compiled) -> None:
-    for sql, params in compiled.statements():
-        print(f"{sql}\n-- params: {params}", file=sys.stderr)
+def _echo_sql(sql: str, params: list) -> None:
+    print(f"{sql}\n-- params: {params}", file=sys.stderr)
 
 
 # parsed once per distinct ring text; treat the ring as read-only
@@ -74,10 +73,9 @@ def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
     r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
     compiled = compiler.compile_plan(r, load_plan(ns.plan))
-    if ns.verbose:
-        _echo_sql(compiled)
     with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
-        result = compiler.execute(compiled, conn)
+        result = compiler.execute(compiled, conn,
+                                  _echo_sql if ns.verbose else None)
     _emit(render_table(result), ns.out)
 
 
@@ -95,12 +93,12 @@ def _report_generate(ns: argparse.Namespace) -> None:
 
     facts = bp.compile_facts(r, ring_text, blueprint, request)
     # one connection per report: its facts share the TEMP tables on it
+    echo = _echo_sql if ns.verbose else None
     with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
         for fact in facts:
-            if ns.verbose:
+            if echo:
                 print(f"-- {fact.id}", file=sys.stderr)
-                _echo_sql(fact.compiled)
-            fact.result = compiler.execute(fact.compiled, conn)
+            fact.result = compiler.execute(fact.compiled, conn, echo)
 
     if ns.mode == "tables":
         pieces = [render_table(f.result, title=f.id) for f in facts]
@@ -145,7 +143,8 @@ _OUT = ("--out", dict(type=functools.partial(_file, exists=False),
                       help="Write output here (atomically) instead of "
                            "stdout."))
 _VERBOSE = ("--verbose", dict(action="store_true",
-                              help="Also print the generated SQL."))
+                              help="Also print each SQL statement it "
+                                   "runs."))
 
 # group -> (help, {command: (handler, options)})
 _COMMANDS = {

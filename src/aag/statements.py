@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from typing import Any, Optional
 
 from .errors import AagError
@@ -20,6 +20,10 @@ from .types import ColumnMeta, DatetimeValue, ResultSet
 
 # ---------------------------------------------------------------------------
 # value formatting
+
+
+# a finite double has at most 309 digits before the point, and cents two more
+_CENTS = Context(prec=311, rounding=ROUND_HALF_EVEN)
 
 
 def _format_number(value) -> str:
@@ -34,7 +38,7 @@ def _format_number(value) -> str:
             # keep one decimal so numeric results read as measurements
             whole = _format_number(int(value))
             return f"{whole}.0"
-        q = Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
+        q = Decimal(repr(value)).quantize(Decimal("0.01"), context=_CENTS)
         text = f"{q:,f}"
         if text.endswith("0") and "." in text and not text.endswith(".00"):
             text = text[:-1]

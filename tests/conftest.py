@@ -1,9 +1,10 @@
 import io
+import random
 import shutil
 import sqlite3
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,47 @@ def cli_ring_path(tmp_path_factory, db_path) -> Path:
     return ring_file
 
 
+FIRES = ("CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
+         "INTEGER, size_acres REAL, year INTEGER{})")
+
+
+def write_db(path, dataset, fires=FIRES.format(""), after=""):
+    """A database at ``path`` holding ``dataset``, its fires in the table
+    ``fires`` creates; ``after`` runs once the rows are in."""
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(
+            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);" + fires)
+        for table, rows in dataset.tables.items():
+            cols = list(rows[0])
+            conn.executemany(
+                f"INSERT INTO {table} ({', '.join(cols)}) VALUES "
+                f"({', '.join('?' * len(cols))})",
+                [tuple(r[c] for c in cols) for r in rows])
+        conn.executescript(after)
+        conn.commit()
+    return path
+
+
+@pytest.fixture(scope="session")
+def nullable_db(tmp_path_factory):
+    """A seeded database with NULLs, its oracle dataset beside it: two
+    states share a name, Utah has no fires, Idaho's fires have no size, and
+    some other fires have no size or no state."""
+    rng = random.Random(3)
+    states = [(1, "California"), (2, "Nevada"), (3, "Oregon"),
+              (4, "Nevada"), (5, "Utah"), (6, "Idaho")]
+    fires = [(i, rng.choice([1, 1, 2, 3, 4, None]),
+              None if rng.random() < 0.15 else round(rng.uniform(0, 500), 1),
+              rng.choice([2018, 2019, 2020])) for i in range(1, 121)]
+    fires += [(121, 6, None, 2019), (122, 6, None, 2020)]
+    dataset = MemoryDataset(tables={
+        "states": [dict(zip(("id", "name"), r)) for r in states],
+        "wildfires": [dict(zip(("id", "state_id", "size_acres", "year"), r))
+                      for r in fires]})
+    path = tmp_path_factory.mktemp("nullable") / "wildfire.db"
+    return write_db(path, dataset), dataset
+
+
 @pytest.fixture
 def opened(monkeypatch):
     """The connections ``sqlite3.connect`` opens while the test runs, and
@@ -87,13 +129,14 @@ def opened(monkeypatch):
 
 @pytest.fixture
 def split(monkeypatch):
-    """``split(k)`` builds every partial table of more than k rows in k
-    rowid ranges."""
+    """``split(cpus, block_rows=1)`` builds every partial table whose fact
+    table's rowids span ``compiler.MIN_BLOCKS`` blocks of ``block_rows`` or
+    more in blocks, on ``cpus`` connections or one per block when fewer."""
     from aag import compiler
 
-    def split(k: int) -> None:
-        monkeypatch.setattr(compiler, "PARTITION_ROWS", 1)
-        monkeypatch.setattr(compiler, "_cpus", lambda: k)
+    def split(cpus: int, block_rows: int = 1) -> None:
+        monkeypatch.setattr(compiler, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(compiler, "_cpus", lambda: cpus)
     return split
 
 

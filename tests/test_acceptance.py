@@ -95,14 +95,16 @@ def test_criterion_1_template_grid_matches_oracle(ring_db, dataset):
                 bindings.update({"key_col": "name", "target": "California"})
             plan = fill_template(ring, templates[template_id], bindings)
             compiled = compile_plan(ring, plan)
+            statements = []
+            with closing(connect(db)) as conn:
+                got = execute(compiled, conn,
+                              lambda *ran: statements.append(ran))
             # every bound parameter of every statement is referenced: SQLite
             # itself only notices a dropped ?N when it is the highest one
-            for sql, params in compiled.statements():
+            for sql, params in statements:
                 numbers = {int(n) for n in re.findall(r"\?(\d+)", sql)}
                 if numbers != set(range(1, len(params) + 1)):
                     misnumbered.append((agg, template_id))
-            with closing(connect(db)) as conn:
-                got = execute(compiled, conn)
             want = oracle_eval(ring, plan, dataset)
             if not _results_agree(got, want):
                 mismatches.append((agg, template_id))

@@ -452,6 +452,17 @@ def test_report_rejects_malformed_request(cli_ring_path, tmp_path, change):
     assert "Traceback" not in result.output
 
 
+def test_report_on_a_huge_benchmark_exits_0(cli_ring_path, tmp_path):
+    doc = json.loads((FIXTURES / "requests" /
+                      "benchmark_california.json").read_text())
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(dict(doc, benchmark=1e30)))
+    result = _run("report", "generate", "--ring", str(cli_ring_path),
+                  "--request", str(request), "--mode", "statements")
+    assert result.exit_code == 0, result.output
+    assert "1,000,000,000,000,000,000,000,000,000,000.0" in result.stdout
+
+
 @pytest.mark.parametrize("name, change", [
     ("ranking_california", {}), ("benchmark_california", {}),
     ("time_over_time_california", {}),
@@ -596,6 +607,45 @@ def test_report_built_in_ranges_leaves_no_thread_or_connection(
     assert len(connections) - before == 3
     assert all(any(c is d for d in closed) for c in connections)
     assert set(threading.enumerate()) == threads
+
+
+@pytest.mark.parametrize("command, partial_params", [
+    (["report", "generate", "--request", RANKING, "--mode", "statements"], []),
+    (["plan", "run", "--plan", PLAN], [2020]),
+], ids=["report", "plan"])
+def test_verbose_shows_the_blocks_a_partial_table_is_built_from(
+        nullable_db, tmp_path, split, command, partial_params):
+    db, _ = nullable_db  # rowids 1..122
+    shutil.copy(db, tmp_path / "wildfire.db")
+    ring = tmp_path / "wildfire_ring.json"
+    ring.write_text(RING_PATH.read_text())
+    args = [*command, "--ring", str(ring), "--verbose"]
+    one_scan = _run(*args)
+    split(2, block_rows=16)
+    blocked = _run(*args)
+    assert blocked.exit_code == one_scan.exit_code == 0
+    assert blocked.stdout == one_scan.stdout
+    name = re.search(r"CREATE TEMP TABLE IF NOT EXISTS (p_[0-9a-f]{16}) AS\n",
+                     one_scan.stderr).group(1)
+    assert f"CREATE TEMP TABLE IF NOT EXISTS {name}" not in blocked.stderr
+    ranged = re.search(rf"^CREATE TEMP TABLE {name} AS\n(.*?)\n-- params: ",
+                       blocked.stderr, re.M | re.S).group(1)
+    assert "rowid BETWEEN" in ranged
+    ran = [(sql, params) for sql, params in re.findall(
+        r"^((?:(?!-- ).*\n)*?.*)\n-- params: (.*)$", blocked.stderr, re.M)
+        if sql == ranged or sql.startswith((f"CREATE TEMP TABLE {name} ",
+                                            f"INSERT INTO {name}"))]
+    # the report's connection runs blocks 0-3 and the helper reads 4-7, in
+    # block order, each with its bounds; then the helper's rows go in
+    bounds = [[1, 15], *([b, b + 15] for b in range(16, 112, 16)), [112, 122]]
+    assert [(sql, eval(params)) for sql, params in ran[:-1]] == [
+        (f"CREATE TEMP TABLE {name} AS\n{ranged}", partial_params + bounds[0]),
+        *((f"INSERT INTO {name}\n{ranged}", partial_params + b)
+          for b in bounds[1:4]),
+        *((ranged, partial_params + b) for b in bounds[4:])]
+    insert, rows = ran[-1]
+    assert re.fullmatch(rf"INSERT INTO {name} VALUES \(\?(, \?)*\)", insert)
+    assert eval(rows)
 
 
 def test_report_runs_on_read_only_database(cli_ring_path, tmp_path):

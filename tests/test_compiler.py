@@ -11,6 +11,7 @@ from contextlib import closing
 
 import pytest
 
+from aag import compiler
 from aag.blueprints import (
     build_member_plan,
     builtin_templates,
@@ -25,7 +26,7 @@ from aag.plans import parse_plan
 from aag.registry import DERIVATION_AGGREGATIONS
 from aag.templates import fill_template
 
-from conftest import load_fixture_plan, load_fixture_request
+from conftest import FIRES, load_fixture_plan, load_fixture_request, write_db
 
 
 def _plan(doc):
@@ -42,8 +43,11 @@ def _steps(extra, result):
 
 
 def assert_matches_oracle(ring, db_path, dataset, plan):
-    got = run_plan(ring, plan, db_path)
-    want = oracle_eval(ring, plan, dataset)
+    _assert_agrees(run_plan(ring, plan, db_path),
+                   oracle_eval(ring, plan, dataset))
+
+
+def _assert_agrees(got, want):
     assert [c.name for c in got.columns] == [c.name for c in want.columns]
     assert len(got.rows) == len(want.rows)
     for g, w in zip(got.rows, want.rows):
@@ -60,9 +64,19 @@ def test_grouped_average_results(ring_db):
     assert rs.rows == [("California", 150.0), ("Nevada", 50.0)]
 
 
-def test_sql_is_fully_parameterized(ring):
-    compiled = compile_plan(ring, load_fixture_plan("average_size_by_state_2020"))
-    statements = compiled.statements()
+def _ran(compiled, db) -> list[tuple[str, list]]:
+    """The statements ``execute`` runs for ``compiled`` on a new connection
+    to ``db``, with their parameters."""
+    statements = []
+    with closing(connect(db)) as conn:
+        execute(compiled, conn, lambda *ran: statements.append(ran))
+    return statements
+
+
+def test_sql_is_fully_parameterized(ring_db):
+    ring, db = ring_db
+    statements = _ran(compile_plan(
+        ring, load_fixture_plan("average_size_by_state_2020")), db)
     assert not any("2020" in sql for sql, _ in statements)
     [sql] = [sql for sql, params in statements if 2020 in params]
     assert "?" in sql
@@ -398,7 +412,7 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
 def _preaggregated(compiled) -> list[str]:
     """The partial tables of ``compiled`` that group the fires by their join
     column and that a statement joins under the fires' name."""
-    texts = [sql for sql, _ in compiled.statements()]
+    texts = [sql for _, sql, _ in compiled.materializations] + [compiled.sql]
     return [name for name, sql, _ in compiled.materializations
             if name in compiled.ranged
             and sql.startswith('SELECT "wildfires"."state_id" AS "state_id", ')
@@ -411,55 +425,14 @@ _FIXTURE_REQUESTS = ("ranking_california", "benchmark_california",
                      "time_over_time_california")
 
 
-_FIRES = ("CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
-          "INTEGER, size_acres REAL, year INTEGER{})")
-
-
-def _write_db(path, dataset, fires=_FIRES.format(""), after=""):
-    """A database at ``path`` holding ``dataset``, its fires in the table
-    ``fires`` creates; ``after`` runs once the rows are in."""
-    with closing(sqlite3.connect(path)) as conn:
-        conn.executescript(
-            "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);" + fires)
-        for table, rows in dataset.tables.items():
-            cols = list(rows[0])
-            conn.executemany(
-                f"INSERT INTO {table} ({', '.join(cols)}) VALUES "
-                f"({', '.join('?' * len(cols))})",
-                [tuple(r[c] for c in cols) for r in rows])
-        conn.executescript(after)
-        conn.commit()
-    return path
-
-
-@pytest.fixture(scope="module")
-def nullable_db(tmp_path_factory):
-    """A seeded database with NULLs, its oracle dataset beside it: two
-    states share a name, Utah has no fires, Idaho's fires have no size, and
-    some other fires have no size or no state."""
-    rng = random.Random(3)
-    states = [(1, "California"), (2, "Nevada"), (3, "Oregon"),
-              (4, "Nevada"), (5, "Utah"), (6, "Idaho")]
-    fires = [(i, rng.choice([1, 1, 2, 3, 4, None]),
-              None if rng.random() < 0.15 else round(rng.uniform(0, 500), 1),
-              rng.choice([2018, 2019, 2020])) for i in range(1, 121)]
-    fires += [(121, 6, None, 2019), (122, 6, None, 2020)]
-    dataset = MemoryDataset(tables={
-        "states": [dict(zip(("id", "name"), r)) for r in states],
-        "wildfires": [dict(zip(("id", "state_id", "size_acres", "year"), r))
-                      for r in fires]})
-    path = tmp_path_factory.mktemp("nullable") / "wildfire.db"
-    return _write_db(path, dataset), dataset
-
-
 @pytest.fixture(scope="module")
 def gapped_db(tmp_path_factory, nullable_db):
     """The nullable database with rowid gaps: its oldest fires deleted, as
     a loader that drops the oldest rows leaves it, and a later block."""
     _, dataset = nullable_db
-    path = _write_db(tmp_path_factory.mktemp("gapped") / "wildfire.db",
-                     dataset, after="DELETE FROM wildfires WHERE id <= 40 "
-                     "OR id BETWEEN 66 AND 96")
+    path = write_db(tmp_path_factory.mktemp("gapped") / "wildfire.db",
+                    dataset, after="DELETE FROM wildfires WHERE id <= 40 "
+                    "OR id BETWEEN 66 AND 96")
     fires = [r for r in dataset.tables["wildfires"]
              if 40 < r["id"] < 66 or r["id"] > 96]
     return path, MemoryDataset(tables=dict(dataset.tables, wildfires=fires))
@@ -613,8 +586,92 @@ def test_more_ranges_than_cpus_under_fast_thread_switches_match_oracle(
         sys.setswitchinterval(interval)
 
 
+def _fires_db(path, ids):
+    """A database of three states and fires with the rowids ``ids``, its
+    oracle dataset beside it. Sizes carry every bit of a double, so the
+    order in which SUM and AVG see them shows in the last bits."""
+    rng = random.Random(5)
+    dataset = MemoryDataset(tables={
+        "states": [{"id": i, "name": n} for i, n in
+                   enumerate(("California", "Nevada", "Oregon"), 1)],
+        "wildfires": [{"id": i, "state_id": rng.choice([1, 2, 2, 3]),
+                       "size_acres": None if rng.random() < 0.1
+                       else rng.uniform(0, 1e6),
+                       "year": rng.choice([2019, 2020])} for i in ids]})
+    return write_db(path, dataset), dataset
+
+
+def _reports(ring) -> list[list]:
+    """The fact plans of each fixture report type, for each aggregation
+    whose partials are summed."""
+    reports = []
+    for name in _FIXTURE_REQUESTS:
+        doc = json.loads(load_fixture_request(name))
+        for aggregation in ("average", "standard_deviation", "sum"):
+            request = parse_request(dict(doc, aggregation=aggregation))
+            reports.append([f.plan for f in instantiate(
+                ring, load_blueprint(request.report), request)])
+    return reports
+
+
+def _run_reports(ring, db, reports) -> list:
+    """The results of the plans of ``reports``, each report on one
+    connection to ``db``."""
+    results = []
+    for plans in reports:
+        with closing(connect(db)) as conn:
+            results += [execute(compile_plan(ring, p), conn) for p in plans]
+    return results
+
+
+@pytest.mark.parametrize("ids", [
+    range(1, 801), range(-400, 400), [*range(1, 501), 10 ** 12]],
+    ids=["dense", "negative", "sparse"])
+def test_raw_results_do_not_depend_on_the_cpu_count(ring, tmp_path, split,
+                                                    ids):
+    db, dataset = _fires_db(tmp_path / "wildfire.db", ids)
+    reports = _reports(ring)
+    rows = set()
+    for cpus in (1, 2, 3, 8):
+        split(cpus, block_rows=16)
+        results = _run_reports(ring, db, reports)
+        rows.add(repr([r.rows for r in results]))  # tells every bit apart
+    assert len(rows) == 1
+    plans = [p for plans in reports for p in plans]
+    for plan, got in zip(plans, results):
+        _assert_agrees(got, oracle_eval(ring, plan, dataset))
+    with closing(connect(db)) as conn:
+        assert 8 < len(compiler._blocks(conn, "wildfires")) \
+            <= compiler.MAX_BLOCKS
+
+
+def test_blocks_a_helper_left_unread_are_read_by_the_report(
+        ring, tmp_path, split, monkeypatch):
+    db, _ = _fires_db(tmp_path / "wildfire.db", range(1, 801))
+    reports = _reports(ring)
+    split(1, block_rows=16)
+    want = repr([r.rows for r in _run_reports(ring, db, reports)])
+    connect = sqlite3.connect
+
+    class FailsAfterOneBlock(sqlite3.Connection):
+        blocks = 0
+
+        def execute(self, sql, *args):
+            if "rowid BETWEEN" in sql and \
+                    threading.current_thread() is not threading.main_thread():
+                self.blocks += 1
+                if self.blocks > 1:
+                    raise sqlite3.OperationalError("database is locked")
+            return super().execute(sql, *args)
+
+    monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connect(
+        *args, factory=FailsAfterOneBlock, **kwargs))
+    split(3, block_rows=16)
+    assert repr([r.rows for r in _run_reports(ring, db, reports)]) == want
+
+
 # ---------------------------------------------------------------------------
-# partial tables built in rowid ranges: when one scan must do, one snapshot
+# partial tables built in rowid blocks: when one scan must do, one snapshot
 
 
 @pytest.mark.parametrize("journal, helpers", [("delete", 1), ("wal", 0)])
@@ -635,17 +692,27 @@ def test_wal_database_is_read_in_one_scan(ring_db, tmp_path, split, opened,
     assert len(opened[0]) - before == 1 + helpers
 
 
+@pytest.mark.parametrize("block_rows, helpers", [(31, 0), (30, 1)])
+def test_span_of_fewer_than_min_blocks_is_read_in_one_scan(
+        ring, nullable_db, split, opened, block_rows, helpers):
+    db, dataset = nullable_db  # rowids 1..122: under 4 * 31, not 4 * 30
+    split(2, block_rows)
+    before = len(opened[0])
+    assert_matches_oracle(ring, db, dataset, _by_state("sum", "|B|"))
+    assert len(opened[0]) - before == 1 + helpers
+
+
 @pytest.mark.parametrize("fires, after", [
-    (_FIRES.format(""), "ALTER TABLE wildfires RENAME TO fires; "
+    (FIRES.format(""), "ALTER TABLE wildfires RENAME TO fires; "
      "CREATE VIEW wildfires AS SELECT * FROM fires"),
-    (_FIRES.format(", rowid INTEGER"),
+    (FIRES.format(", rowid INTEGER"),
      "UPDATE wildfires SET rowid = id WHERE id % 3 = 0"),
-    (_FIRES.format("") + " WITHOUT ROWID", ""),
+    (FIRES.format("") + " WITHOUT ROWID", ""),
 ], ids=["view", "rowid_column", "without_rowid"])
 def test_fact_table_without_a_usable_rowid_is_read_in_one_scan(
         ring, nullable_db, tmp_path, split, opened, fires, after):
     _, dataset = nullable_db
-    db = _write_db(tmp_path / "wildfire.db", dataset, fires, after)
+    db = write_db(tmp_path / "wildfire.db", dataset, fires, after)
     split(2)
     before = len(opened[0])
     for op in ("sum", "count", "max"):
@@ -656,7 +723,7 @@ def test_fact_table_without_a_usable_rowid_is_read_in_one_scan(
 def test_range_behind_a_pending_commit_is_read_by_the_report(
         ring, nullable_db, tmp_path, split, monkeypatch):
     _, dataset = nullable_db
-    db = _write_db(tmp_path / "wildfire.db", dataset)
+    db = write_db(tmp_path / "wildfire.db", dataset)
     writer = sqlite3.connect(db, timeout=0, isolation_level=None,
                              check_same_thread=False)
     connect, calls, refused = sqlite3.connect, [], []
@@ -718,7 +785,8 @@ def test_failed_range_names_its_statement_and_leaves_nothing_open(
             "CREATE TABLE states (id INTEGER PRIMARY KEY, name TEXT);"
             "CREATE TABLE wildfires (id INTEGER PRIMARY KEY, state_id "
             "INTEGER, year INTEGER);"
-            "INSERT INTO wildfires VALUES (1, 1, 2020), (2, 1, 2020);")
+            "INSERT INTO wildfires VALUES (1, 1, 2020), (2, 1, 2020), "
+            "(3, 1, 2020), (4, 1, 2020);")
     split(2)
     threads = set(threading.enumerate())
     with closing(connect(db)) as conn, \

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,14 @@ def test_format_datetime_drops_midnight():
 def test_format_value_rejects_non_finite_numbers(value):
     with pytest.raises(AagError, match="not a finite number"):
         format_value(value, ("acre", "acres"))
+
+
+@pytest.mark.parametrize("value", [1e26, 1.5e30, -1.5e30,
+                                   sys.float_info.max])
+def test_format_value_of_large_floats_reads_back_as_the_same_float(value):
+    text = format_value(value)
+    assert text.endswith(".0")
+    assert float(text.replace(",", "")) == value
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False,

@@ -12,23 +12,31 @@ roots a region, and a region becomes one statement:
   a grouping CTE (keys + aggregate) that the outer region reads from.
 
 Eager aggregation (Yan & Larson, VLDB 1995): when a region joins tables,
-every aggregation is decomposable (average as SUM/COUNT, standard deviation
-as SUM(v*v), SUM(v), COUNT(v)) over one fact table T that no key or other
-column reads, and each filter conjunct reads only T or no T column, then T
-is replaced by its partials: T-only conjuncts and grouping by T's join
-columns in a statement of its own, a TEMP table ``p_<hash>`` read under T's
-name. The outer grouping combines any number of partial rows per key
-(two-phase aggregation, Shatdal & Naughton, SIGMOD 1995), so ``execute``
-builds the partials of a T whose rowids span ``MIN_BLOCKS`` blocks or more
-in blocks: rowid ranges aligned to multiples of ``BLOCK_ROWS``, widened by doubling
-until a sparse span has at most ``MAX_BLOCKS``, so that each GROUP BY sort
-is small. Each of up to one connection per CPU reads a contiguous share of
-the blocks, one after another, and the rows go into the TEMP table in block
-order. The blocks and their order depend only on T's rowid span, so raw
-results are the same on any number of CPUs. ``connect`` begins a read
-transaction and the report connection reads T's rowid bounds (two scalar
-subqueries: one SELECT of both scans T) before any helper starts, so in
-rollback-journal mode no commit lands mid-report.
+every aggregation reads one fact table T that no key or other column reads,
+and each filter conjunct reads only T or no T column, then T is replaced by
+its partials: T-only conjuncts and grouping by T's join columns in a
+statement of its own, a TEMP table ``p_<hash>`` read under T's name. A
+holistic aggregation (count_unique, median, string_agg) is held whole in
+its partial (invariant grouping, Chaudhuri & Shim, VLDB 1994): an outer
+group that joins exactly one partial row (``COUNT(*) = 1``) holds the same
+fact rows as in one grouping level and reads it; any other group computes
+the aggregation in one grouping level, in a subquery that aliases its own
+tables and is correlated by a NULL-safe ``IS`` on each outer key. Such a
+partial is built in one scan, and a T joined on its own primary key keeps
+one grouping level. A decomposable aggregation (average as SUM/COUNT,
+standard deviation as SUM(v*v), SUM(v), COUNT(v)) is combined from any
+number of partial rows per key (two-phase aggregation, Shatdal & Naughton,
+SIGMOD 1995), so ``execute`` builds the partials of a T whose rowids span
+``MIN_BLOCKS`` blocks or more in blocks: rowid ranges aligned to multiples
+of ``BLOCK_ROWS``, widened by doubling until a sparse span has at most
+``MAX_BLOCKS``, so that each GROUP BY sort is small. Each of up to one
+connection per CPU reads a contiguous share of the blocks, one after
+another, and the rows go into the TEMP table in block order. The blocks
+and their order depend only on T's rowid span, so raw results are the same
+on any number of CPUs. ``connect`` begins a read transaction and the
+report connection reads T's rowid bounds (two scalar subqueries: one SELECT
+of both scans T) before any helper starts, so in rollback-journal mode no
+commit lands mid-report.
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
@@ -108,7 +116,7 @@ class CompiledQuery:
 @dataclass
 class JoinResolution:
     tables: list[str]        # table names, in FROM order
-    conditions: list[str]    # "a"."x" = "b"."y" equalities
+    conditions: list[tuple[str, str, str, str]]  # (a, x, b, y): a.x = b.y
     columns: dict[str, list[str]]  # table -> its columns the conditions use
 
 
@@ -131,7 +139,7 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
     """Connect the entities' primary tables through declared relationships."""
     first = ring.entity(entities[0])
     tables = [first.primary_table]
-    conditions: list[str] = []
+    conditions: list[tuple[str, str, str, str]] = []
     columns: dict[str, list[str]] = {}
     connected = [entities[0]]
     remaining = list(entities[1:])
@@ -153,7 +161,7 @@ def resolve_joins(ring: Ring, entities: list[str]) -> JoinResolution:
                     tables.append(t)
                 if c not in columns.setdefault(t, []):
                     columns[t].append(c)
-            conditions.append(f"{_q(lt)}.{_q(lc)} = {_q(rt)}.{_q(rc)}")
+            conditions.append((lt, lc, rt, rc))
         remaining.remove(b)
         connected.append(b)
     return JoinResolution(tables=tables, conditions=conditions,
@@ -174,9 +182,11 @@ _SIMPLE_AGGS = {"average": "AVG({})", "sum": "(SUM({}) * 1.0)",
 
 _AGGREGATIONS = frozenset(op for op, sig in REGISTRY.items()
                           if sig.is_aggregation)
-# aggregations the outer grouping can combine from per-join-key partials
+# aggregations a partial holds whole, as no outer grouping can combine them
+_HOLISTIC_AGGS = {"count_unique", "median", "string_agg"}
+# aggregations computed from per-join-key partials
 _EAGER_AGGS = {"sum", "count", "min", "max", "get_one", "average",
-               "standard_deviation"}
+               "standard_deviation", *_HOLISTIC_AGGS}
 
 
 def _stddev(v: str, mean=lambda e: f"AVG({e})") -> str:
@@ -307,6 +317,8 @@ class _Region:
         self.ret = comp.info[ret_label]
         self.aggs = [l for l in self.ret.collection_labels
                      if comp.plan.steps[l].op in _AGGREGATIONS]
+        self.holistic = any(comp.plan.steps[l].op in _HOLISTIC_AGGS
+                            for l in self.aggs)
         # label -> (alias, column) overrides installed by hoisted CTEs
         self.column_of: dict[str, tuple[str, str]] = {}
         self.row_alias: Optional[str] = None
@@ -318,6 +330,7 @@ class _Region:
         self.fact_where: list[str] = []
         self.partials: dict[str, str] = {}  # inner aggregate -> column
         self.partial_params: list = []
+        self.alias: dict[str, str] = {}  # table -> its name in a fallback
 
     # -- FROM / WHERE -----------------------------------------------------------
 
@@ -325,18 +338,15 @@ class _Region:
         if self.entity_names:
             res = self.joins = resolve_joins(self.c.ring, self.entity_names)
             self.from_sql = "FROM " + ", ".join(_q(t) for t in res.tables)
-            self._join_conditions = list(res.conditions)
             self.fact = self._eager_fact()
         elif self.row_mats:
             self.row_alias = next(iter(self.row_mats.values()))
             self.from_sql = f"FROM {self.row_alias}"
-            self._join_conditions = []
         else:
             self.from_sql = "FROM (SELECT 1)"
-            self._join_conditions = []
 
     def _build_where(self) -> None:
-        parts = list(self._join_conditions)
+        parts = self._join_sql() if self.entity_names else []
         if self.fact:
             for l, inner in self.conjuncts:
                 if inner:
@@ -346,6 +356,13 @@ class _Region:
         elif self.ret.filter_label:
             parts.append(self.expr(self.ret.filter_label))
         self.where_sql = ("WHERE " + " AND ".join(parts)) if parts else ""
+
+    def _col(self, table: str, column: str) -> str:
+        return f"{_q(self.alias.get(table, table))}.{_q(column)}"
+
+    def _join_sql(self) -> list[str]:
+        return [f"{self._col(a, x)} = {self._col(b, y)}"
+                for a, x, b, y in self.joins.conditions]
 
     def _column_expr(self, label: str, what: str) -> str:
         """Compile a key that must be a plain column (it binds nothing)."""
@@ -392,6 +409,12 @@ class _Region:
         if len(read) != 1 or "" in read:
             return None
         fact = read.pop()
+        # grouped by its primary key, a partial row is one fact row, and
+        # each outer group of more than one would take the fallback
+        table = self.c.ring.table(fact)
+        if self.holistic and table \
+                and self.joins.columns[fact] == [table.primary_key]:
+            return None
         for l in self.ret.collection_labels:
             if l not in self.aggs and self._reads(l) & {fact, ""}:
                 return None
@@ -409,22 +432,48 @@ class _Region:
         self.c.params = outer
         return sql
 
-    def _combine(self, op: str, v: str) -> str:
-        """``op(v)`` over the join, from the fact table's partials."""
-        def p(agg: str, e: str = v) -> str:  # the column holding agg(e)
-            col = self.partials.setdefault(f"{agg}({e})",
+    def _combine(self, label: str, v: str) -> str:
+        """The aggregation ``label`` of ``v`` over the join, from the fact
+        table's partials."""
+        def p(agg: str) -> str:  # the partial column holding agg
+            col = self.partials.setdefault(agg,
                                            f'"aag_p{len(self.partials) + 1}"')
             return f"{_q(self.fact)}.{col}"
+        op = self.c.plan.steps[label].op
+        if op in _HOLISTIC_AGGS:
+            # a group of one partial row holds the same fact rows either way
+            return (f"CASE WHEN COUNT(*) = 1 THEN "
+                    f"MIN({p(_SIMPLE_AGGS[op].format(v))}) "
+                    f"ELSE {self._fallback(label)} END")
         if op in ("min", "max", "get_one"):
             f = "MAX" if op == "max" else "MIN"
-            return f"{f}({p(f)})"
+            return f"{f}({p(f'{f}({v})')})"
         if op == "sum":
-            return f"(SUM({p('SUM')}) * 1.0)"
-        n = p("COUNT")
+            return f"(SUM({p(f'SUM({v})')}) * 1.0)"
+        n = p(f"COUNT({v})")
         if op == "count":
             return f"COALESCE(SUM({n}), 0)"
-        mean = lambda e: f"(CAST(SUM({p('SUM', e)}) AS REAL) / SUM({n}))"
+        mean = lambda e: f"(CAST(SUM({p(f'SUM({e})')}) AS REAL) / SUM({n}))"
         return mean(v) if op == "average" else _stddev(v, mean)
+
+    def _fallback(self, label: str) -> str:
+        """The aggregation ``label`` in one grouping level, as a subquery
+        over the joined tables, each under an alias, restricted to the outer
+        statement's group by a NULL-safe ``IS`` on each key."""
+        keys = [l for l, _ in self.ret.columns if l not in self.aggs]
+        outer = [self.expr(l) for l in keys]
+        fact, self.fact = self.fact, None
+        self.alias = {t: f"aag_t{i}" for i, t in
+                      enumerate(self.joins.tables, 1)}
+        where = self._join_sql()
+        if self.ret.filter_label:
+            where.append(self.expr(self.ret.filter_label))
+        where += [f"{self.expr(l)} IS {o}" for l, o in zip(keys, outer)]
+        agg = self._agg_expr(label)
+        tables = ", ".join(f"{_q(t)} AS {_q(a)}"
+                           for t, a in self.alias.items())
+        self.fact, self.alias = fact, {}
+        return f"(SELECT {agg} FROM {tables} WHERE {' AND '.join(where)})"
 
     def _eager_from(self) -> str:
         """FROM with the fact table's partials, grouped by its join columns
@@ -443,8 +492,11 @@ class _Region:
         params = self.partial_params
         name = self.c._add_table("p_", select(self.fact_where), params)
         n = len(params)
-        self.c.ranged[name] = (self.fact, select(
-            [*self.fact_where, f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]))
+        # a holistic partial cannot be combined across blocks: one scan
+        if not self.holistic:
+            self.c.ranged[name] = (self.fact, select(
+                [*self.fact_where,
+                 f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]))
         return "FROM " + ", ".join(f"{name} AS {fact}" if t == self.fact
                                    else _q(t) for t in self.joins.tables)
 
@@ -528,8 +580,7 @@ class _Region:
 
         if op == "retrieve_attribute":
             if si.attribute is not None:
-                table, column = self.c.ring.attribute(*si.attribute).source
-                return f"{_q(table)}.{_q(column)}"
+                return self._col(*self.c.ring.attribute(*si.attribute).source)
             if si.source_return in self.scalar_mats:
                 table = self.scalar_mats[si.source_return]
                 return f"(SELECT {_q(si.source_column)} FROM {table})"
@@ -579,7 +630,7 @@ class _Region:
                     f"{cov} / NULLIF({_stddev(x)} * {_stddev(y)}, 0.0) END)")
         value = self.c.info[label].value_label
         if self.fact:
-            return self._combine(op, self._in_partial(value))
+            return self._combine(label, self._in_partial(value))
         v = self.expr(value)
         if op == "standard_deviation":
             return _stddev(v)

@@ -5,11 +5,14 @@ import re
 import shutil
 import sqlite3
 import sys
+import tempfile
 import threading
 import time
 from contextlib import closing
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aag import compiler
 from aag.blueprints import (
@@ -24,9 +27,11 @@ from aag.errors import AagError, DbError
 from aag.oracle import MemoryDataset, oracle_eval
 from aag.plans import parse_plan
 from aag.registry import DERIVATION_AGGREGATIONS
+from aag.ring import load_ring
 from aag.templates import fill_template
 
-from conftest import FIRES, load_fixture_plan, load_fixture_request, write_db
+from conftest import (FIRES, RING_PATH, load_fixture_plan, load_fixture_request,
+                      write_db)
 
 
 def _plan(doc):
@@ -409,16 +414,21 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
 # ---------------------------------------------------------------------------
 # eager aggregation: the fact table grouped by its join key before the join
 
-def _preaggregated(compiled) -> list[str]:
+def _grouped_partials(compiled) -> list[str]:
     """The partial tables of ``compiled`` that group the fires by their join
     column and that a statement joins under the fires' name."""
     texts = [sql for _, sql, _ in compiled.materializations] + [compiled.sql]
     return [name for name, sql, _ in compiled.materializations
-            if name in compiled.ranged
-            and sql.startswith('SELECT "wildfires"."state_id" AS "state_id", ')
+            if sql.startswith('SELECT "wildfires"."state_id" AS "state_id", ')
             and sql.endswith('\nGROUP BY "wildfires"."state_id"')
             and any(f'FROM {name} AS "wildfires", "states"\n' in t
                     for t in texts)]
+
+
+def _preaggregated(compiled) -> list[str]:
+    """The grouped partial tables of ``compiled`` built in rowid blocks
+    when the fires span enough of them."""
+    return [n for n in _grouped_partials(compiled) if n in compiled.ranged]
 
 
 _FIXTURE_REQUESTS = ("ranking_california", "benchmark_california",
@@ -553,16 +563,12 @@ def test_get_one_is_preaggregated(ring_db, dataset):
 
 
 @pytest.mark.parametrize("op, args, filter_steps", [
-    ("count_unique", ["|B|"], {}),
-    ("median", ["|B|"], {}),
-    ("string_agg", ["|B|"], {}),
     ("correlation", ["|B|", "|Y|"], {}),
     ("sum", ["|B|"], {  # one conjunct reads both tables
         "F1": {"op": "exact", "args": ["|Y|", 2019]},
         "F2": {"op": "exact", "args": ["|D|", "Nevada"]},
         "F": {"op": "or", "args": ["|F1|", "|F2|"]}}),
-], ids=["count_unique", "median", "string_agg", "correlation",
-        "mixed_conjunct"])
+], ids=["correlation", "mixed_conjunct"])
 def test_other_regions_keep_one_grouping_level(ring_db, dataset, op, args,
                                                filter_steps):
     ring, db = ring_db
@@ -570,6 +576,117 @@ def test_other_regions_keep_one_grouping_level(ring_db, dataset, op, args,
     sql = compile_plan(ring, plan).sql
     assert 'FROM "wildfires", "states"' in sql and "aag_p" not in sql
     assert_matches_oracle(ring, db, dataset, plan)
+
+
+_HOLISTIC = ("count_unique", "median", "string_agg")
+_YEAR_2019 = {"F": {"op": "exact", "args": ["|Y|", 2019]}}
+
+
+@pytest.mark.parametrize("op", _HOLISTIC)
+def test_holistic_regions_group_by_the_join_key_first(
+        ring_db, dataset, nullable_db, op):
+    ring, db = ring_db
+    for filter_steps in ({}, _YEAR_2019):
+        plan = _by_state(op, "|B|", **filter_steps)
+        compiled = compile_plan(ring, plan)
+        # a holistic partial cannot be combined across blocks: one scan
+        [name] = _grouped_partials(compiled)
+        assert name not in compiled.ranged
+        assert "CASE WHEN COUNT(*) = 1 THEN MIN(" in compiled.sql
+        assert_matches_oracle(ring, db, dataset, plan)
+        # Nevada's two ids take the fallback, Utah has no fires, Idaho's
+        # fires no size, and some fires no state
+        assert_matches_oracle(ring, *nullable_db, plan)
+
+
+def test_holistic_members_read_partials_grouped_by_the_join_key(ring):
+    for op in ("count_unique", "median"):  # a report's aggregations
+        for filters in ([], [{"attribute": "year", "op": "exact",
+                              "value": 2020}]):
+            compiled = _members(ring, op, filters)
+            [name] = _grouped_partials(compiled)
+            assert name not in compiled.ranged
+
+
+def _cohorts_db(path, names, fires):
+    """A database of states named ``names`` (ids from 1) and of ``fires``
+    (state id, size, year), its oracle dataset beside it."""
+    dataset = MemoryDataset(tables={
+        "states": [{"id": i, "name": n} for i, n in enumerate(names, 1)],
+        "wildfires": [{"id": i, "state_id": s, "size_acres": v, "year": y}
+                      for i, (s, v, y) in enumerate(fires, 1)]})
+    return write_db(path, dataset), dataset
+
+
+def test_states_without_a_name_share_one_group(ring, tmp_path):
+    # the NULL names' two partial rows take the fallback, which must match
+    # a NULL key with IS: with = it would find no fires
+    db, dataset = _cohorts_db(
+        tmp_path / "wildfire.db", ["California", None, None, "Nevada"],
+        [(1, 10.0, 2019), (2, 20.0, 2019), (3, 30.0, 2020), (3, 20.0, 2020),
+         (2, None, 2020), (4, 5.0, 2019), (None, 7.0, 2019), (9, 8.0, 2020)])
+    for op in _HOLISTIC:
+        for filter_steps in ({}, _YEAR_2019):
+            plan = _by_state(op, "|B|", **filter_steps)
+            assert_matches_oracle(ring, db, dataset, plan)
+    rows = run_plan(ring, _by_state("count_unique", "|B|"), db).rows
+    assert rows == [(None, 2), ("California", 1), ("Nevada", 1)]
+
+
+def test_holistic_aggregation_of_the_primary_key_side_keeps_one_level(
+        nullable_db, tmp_path):
+    # states grouped by their primary key give one partial row per state,
+    # so each year, joined to many states, would take the fallback
+    doc = json.loads(RING_PATH.read_text())
+    [state] = [e for e in doc["entities"] if e["name"] == "State"]
+    state["attributes"].append({
+        "name": "population", "nicename": "population",
+        "types": ["arithmetic", "metric"], "source": ["states", "population"]})
+    (tmp_path / "ring.json").write_text(json.dumps(doc))
+    ring = load_ring(tmp_path / "ring.json")
+    _, dataset = nullable_db
+    db = write_db(tmp_path / "wildfire.db", dataset, after=(
+        "ALTER TABLE states ADD population REAL; "
+        "UPDATE states SET population = id % 3"))
+    dataset = MemoryDataset(tables=dict(dataset.tables, states=[
+        dict(r, population=float(r["id"] % 3))
+        for r in dataset.tables["states"]]))
+    for op in _HOLISTIC:
+        plan = _steps({
+            "Y": {"op": "retrieve_attribute", "args": ["|A|", "year"]},
+            "C": {"op": "retrieve_entity", "args": ["State"]},
+            "P": {"op": "retrieve_attribute", "args": ["|C|", "population"]},
+            "G": {"op": "groupby", "args": ["|Y|"]},
+            "V": {"op": op, "args": ["|P|", "|G|"]},
+            "L": {"op": "collect", "args": ["|Y|", "|V|"]},
+            "R": {"op": "return", "args": ["|L|"]},
+        }, "R")
+        assert "aag_p" not in compile_plan(ring, plan).sql
+        assert_matches_oracle(ring, db, dataset, plan)
+
+
+@st.composite
+def _drawn_cohorts(draw):
+    """States with duplicate and NULL names, some without fires; fires with
+    NULL and dangling state ids, NULL and tied sizes."""
+    names = draw(st.lists(st.sampled_from(["California", "Nevada", None]),
+                          min_size=1, max_size=4))
+    fires = draw(st.lists(st.tuples(
+        st.one_of(st.none(), st.integers(1, len(names) + 1)),
+        st.sampled_from([None, -3.0, 0.0, 1.5, 250.0]),
+        st.sampled_from([2019, 2020])), min_size=1, max_size=12))
+    return names, fires, draw(st.booleans())
+
+
+@settings(deadline=None)
+@given(_drawn_cohorts())
+def test_holistic_partials_match_oracle_on_drawn_databases(ring, drawn):
+    names, fires, filtered = drawn
+    with tempfile.TemporaryDirectory() as d:
+        db, dataset = _cohorts_db(Path(d) / "wildfire.db", names, fires)
+        for op in _HOLISTIC:
+            assert_matches_oracle(ring, db, dataset, _by_state(
+                op, "|B|", **(_YEAR_2019 if filtered else {})))
 
 
 def test_more_ranges_than_cpus_under_fast_thread_switches_match_oracle(
@@ -603,11 +720,12 @@ def _fires_db(path, ids):
 
 def _reports(ring) -> list[list]:
     """The fact plans of each fixture report type, for each aggregation
-    whose partials are summed."""
+    whose partials are summed and each a partial holds whole."""
     reports = []
     for name in _FIXTURE_REQUESTS:
         doc = json.loads(load_fixture_request(name))
-        for aggregation in ("average", "standard_deviation", "sum"):
+        for aggregation in ("average", "standard_deviation", "sum",
+                            "count_unique", "median"):
             request = parse_request(dict(doc, aggregation=aggregation))
             reports.append([f.plan for f in instantiate(
                 ring, load_blueprint(request.report), request)])

@@ -1,6 +1,7 @@
 """Every CLI output of the fixture requests and plans, byte for byte against
 the files in ``tests/goldens``: each ``report generate --mode``, the
-``.facts`` sidecar of ``--out``, and the ``plan run`` table."""
+``.facts`` sidecar of ``--out``, the ``plan run`` table, and the statements
+of the ranking request with each holistic aggregation a report takes."""
 
 import pytest
 from conftest import FIXTURES, GOLDENS, invoke
@@ -20,6 +21,12 @@ CASES = [
     (f"{name}_plan_run.md",
      ["plan", "run", "--plan", str(FIXTURES / "plans" / f"{name}.json")])
     for name in PLANS
+] + [
+    (f"ranking_california_{agg}_statements.txt",
+     ["report", "generate", "--request",
+      str(FIXTURES / "aggregations" / f"ranking_california_{agg}.json"),
+      "--mode", "statements"])
+    for agg in ("count_unique", "median")
 ]
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import closing
 from pathlib import Path
 
 from . import blueprints as bp
@@ -73,7 +72,7 @@ def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
     r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
     compiled = compiler.compile_plan(r, load_plan(ns.plan))
-    with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
+    with compiler.reader(r.db_path(Path(ns.ring).parent)) as conn:
         result = compiler.execute(compiled, conn,
                                   _echo_sql if ns.verbose else None)
     _emit(render_table(result), ns.out)
@@ -92,9 +91,10 @@ def _report_generate(ns: argparse.Namespace) -> None:
         return _emit(json.dumps(doc, indent=2), ns.out)
 
     facts = bp.compile_facts(r, ring_text, blueprint, request)
-    # one connection per report: its facts share the TEMP tables on it
+    # the thread's kept read connection: the report's facts, and the next
+    # reports while the database is unchanged, share the TEMP tables on it
     echo = _echo_sql if ns.verbose else None
-    with closing(compiler.connect(r.db_path(Path(ns.ring).parent))) as conn:
+    with compiler.reader(r.db_path(Path(ns.ring).parent)) as conn:
         for fact in facts:
             if echo:
                 print(f"-- {fact.id}", file=sys.stderr)

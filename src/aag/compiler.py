@@ -33,10 +33,16 @@ of ``BLOCK_ROWS``, widened by doubling until a sparse span has at most
 connection per CPU reads a contiguous share of the blocks, one after
 another, and the rows go into the TEMP table in block order. The blocks
 and their order depend only on T's rowid span, so raw results are the same
-on any number of CPUs. ``connect`` begins a read transaction and the
-report connection reads T's rowid bounds (two scalar subqueries: one SELECT
-of both scans T) before any helper starts, so in rollback-journal mode no
-commit lands mid-report.
+on any number of CPUs. ``reader`` begins a report's read transaction on
+the thread's kept connection and reads the database before any helper
+starts, so in rollback-journal mode no commit lands mid-report. The
+connection and its TEMP tables outlive the report: the next report of the
+thread on the same file reads them, unless another connection has
+committed (``PRAGMA data_version``), the file was replaced (its device and
+inode) or more than ``MAX_TEMP_TABLES`` are held; then, and after any
+error, the connection is reopened empty, so a TEMP table is only ever read
+in the snapshot it was built from (a recycler of intermediates, Ivanova et
+al., SIGMOD 2009).
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
@@ -56,10 +62,10 @@ import math
 import os
 import sqlite3
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import AagError, DbError
@@ -731,13 +737,94 @@ def connect(db_path: Union[str, Path]) -> sqlite3.Connection:
     return conn
 
 
+# TEMP tables a kept read connection may hold: distinct requests add tables
+# without end, so a connection holding more is reopened empty. The three
+# report types for each of 50 targets on one 200k-row database hold 161
+MAX_TEMP_TABLES = 256
+
+_readers = threading.local()  # .kept: this thread's _Reader between reports
+
+
+class _Reader:
+    """A read-only connection to one database file, and the snapshot its
+    TEMP tables were built from."""
+
+    def __init__(self, db_path: Union[str, Path], path: Path):
+        self.path = path
+        # taken before the open: a file replaced in between reads as changed
+        self.file = _file_id(path)
+        self.conn = connect(db_path)
+        try:
+            self.version = self._version()
+        except DbError:
+            self.conn.close()
+            raise
+
+    def _version(self) -> int:
+        # reads the database: the read transaction's snapshot is now fixed
+        return _run(self.conn, "PRAGMA data_version", [])[0][0]
+
+    def begin(self, path: Path) -> bool:
+        """Begin a read transaction on the kept connection; whether it may
+        go on: ``path`` is the file it opened, no other connection has
+        committed since its TEMP tables were built, and they number at most
+        ``MAX_TEMP_TABLES``."""
+        if path != self.path:
+            return False
+        _run(self.conn, "BEGIN", [])
+        [(tables,)] = _run(self.conn, "SELECT count(*) FROM sqlite_temp_master",
+                           [])
+        return (self._version() == self.version
+                and _file_id(path) == self.file and tables <= MAX_TEMP_TABLES)
+
+
+def _file_id(path: Path) -> Optional[tuple[int, int]]:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+@contextmanager
+def reader(db_path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
+    """This thread's read-only connection to ``db_path``, in a read
+    transaction for the ``with`` block. The connection and its TEMP tables
+    are kept after the block, until a report of this thread reads another
+    file or finds that another connection has committed, the file was
+    replaced or ``MAX_TEMP_TABLES`` is passed: then it is reopened, so every
+    TEMP table a block finds was built from the snapshot it reads. The
+    transaction ends with the block, so no lock is held between reports; an
+    exception closes the connection, so nothing it half built is kept."""
+    path = Path(db_path).absolute()
+    kept, _readers.kept = getattr(_readers, "kept", None), None
+    try:
+        if kept is not None and not kept.begin(path):
+            kept.conn.close()
+            kept = None
+        if kept is None:
+            kept = _Reader(db_path, path)
+        yield kept.conn
+        _run(kept.conn, "COMMIT", [])
+        # the page cache is read again from the OS: no growth between reports
+        _run(kept.conn, "PRAGMA shrink_memory", [])
+    except BaseException:
+        if kept is not None:
+            kept.conn.close()
+        raise
+    _readers.kept = kept
+
+
 def execute(compiled: CompiledQuery, conn: sqlite3.Connection,
             echo: Optional[Callable[[str, list], None]] = None) -> ResultSet:
     """Build the TEMP tables of the query ``conn`` lacks, then run it;
     ``echo`` gets each statement and its parameters before it runs, a
     partial table's once per block."""
     echo = echo or (lambda sql, params: None)
-    built = {n for n, in _run(conn, "SELECT name FROM sqlite_temp_master", [])}
+    names = [name for name, _, _ in compiled.materializations]
+    built = {n for n, in _run(
+        conn, "SELECT name FROM sqlite_temp_master WHERE name IN "
+              f"({', '.join('?' * len(names))})", names)} if names else set()
     for name, sql, params in compiled.materializations:
         if name in built:
             continue
@@ -892,5 +979,5 @@ class _StringAgg(_NonNullValues):
 
 def run_plan(ring: Ring, plan: SqrPlan,
              db_path: Union[str, Path]) -> ResultSet:
-    with closing(connect(db_path)) as conn:
+    with reader(db_path) as conn:
         return execute(compile_plan(ring, plan), conn)

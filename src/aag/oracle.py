@@ -164,6 +164,11 @@ def _sort_key(value):
     return (value is not None, value)
 
 
+def _joins(a, b) -> bool:
+    """SQL's ``a = b`` in a join: a NULL on either side matches nothing."""
+    return a is not None and a == b
+
+
 def oracle_eval(ring: Ring, plan: SqrPlan,
                 dataset: MemoryDataset) -> ResultSet:
     """Evaluate a plan against in-memory tables, canonically ordered."""
@@ -260,17 +265,17 @@ class _Evaluator:
             lt, lc = j.left.split(".")
             rt, rc = j.right.split(".")
             if lt in bound and rt in bound:
-                if bound[lt][lc] != bound[rt][rc]:
+                if not _joins(bound[lt][lc], bound[rt][rc]):
                     return False
             elif lt in bound:
                 matches = [r for r in self.ds.tables.get(rt, [])
-                           if r[rc] == bound[lt][lc]]
+                           if _joins(r[rc], bound[lt][lc])]
                 if not matches:
                     return False
                 bound[rt] = matches[0]
             elif rt in bound:
                 matches = [r for r in self.ds.tables.get(lt, [])
-                           if r[lc] == bound[rt][rc]]
+                           if _joins(r[lc], bound[rt][rc])]
                 if not matches:
                     return False
                 bound[lt] = matches[0]

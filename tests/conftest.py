@@ -107,6 +107,24 @@ def nullable_db(tmp_path_factory):
     return write_db(path, dataset), dataset
 
 
+@pytest.fixture(autouse=True)
+def drop_reader(monkeypatch):
+    """A store of kept read connections of the test's own, so no test reads
+    TEMP tables another built. Calling it closes and forgets the main
+    thread's kept connection, as the end of the test does."""
+    from aag import compiler
+
+    readers = type(compiler._readers)()
+    monkeypatch.setattr(compiler, "_readers", readers)
+
+    def drop() -> None:
+        kept, readers.kept = getattr(readers, "kept", None), None
+        if kept is not None:
+            kept.conn.close()
+    yield drop
+    drop()
+
+
 @pytest.fixture
 def opened(monkeypatch):
     """The connections ``sqlite3.connect`` opens while the test runs, and

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 import requests
@@ -331,13 +332,15 @@ def _report_outputs(ring, request, clear):
     return outputs
 
 
-def test_cached_shapes_report_as_uncached_ones(cli_ring_path, tmp_path):
+def test_cached_shapes_report_as_uncached_ones(cli_ring_path, tmp_path,
+                                               drop_reader):
     request = tmp_path / "request.json"
     # each shape twice, with other values: the second pass is all hits
     docs = [*_shape_sequence(0), *_shape_sequence(1)]
     outputs = {}
     for clear in (False, True):
         blueprints._compiled.clear()
+        drop_reader()  # each pass builds its TEMP tables, so --verbose shows them
         outputs[clear] = []
         for doc in docs:
             request.write_text(json.dumps(doc))
@@ -594,18 +597,56 @@ def test_report_holds_no_lock_and_sees_new_rows(cli_ring_path, tmp_path):
     assert "A total of 3 states were compared." in after.output
 
 
+def test_second_report_builds_and_prints_no_temp_table(cli_ring_path,
+                                                       tmp_path):
+    ring, _ = _private_copy(cli_ring_path, tmp_path)
+    runs = []
+    for out in (tmp_path / "first.txt", tmp_path / "second.txt"):
+        result = _run("report", "generate", "--ring", str(ring), "--request",
+                      RANKING, "--out", str(out), "--verbose")
+        assert result.exit_code == 0
+        runs.append((result.stderr, Path(f"{out}.facts").read_bytes(),
+                     out.read_bytes()))
+    (first, *outputs), (second, *again) = runs
+    assert "CREATE TEMP TABLE" in first
+    # the TEMP tables the first report built serve the second
+    assert "CREATE TEMP TABLE" not in second
+    assert again == outputs
+
+
+def test_report_sees_a_database_file_replaced_between_reports(
+        cli_ring_path, tmp_path):
+    ring, db = _private_copy(cli_ring_path, tmp_path)
+    args = ["report", "generate", "--ring", str(ring), "--request", RANKING,
+            "--mode", "statements"]
+    assert "A total of 2 states were compared." in _run(*args).output
+    new = tmp_path / "new.db"
+    shutil.copy(db, new)
+    with closing(sqlite3.connect(new)) as conn, conn:
+        conn.execute("INSERT INTO states (id, name) VALUES (3, 'Oregon')")
+        conn.execute("INSERT INTO wildfires (id, state_id, size_acres, year)"
+                     " VALUES (99, 3, 10.0, 2020)")
+    os.replace(new, db)
+    assert "A total of 3 states were compared." in _run(*args).output
+
+
 def test_report_built_in_ranges_leaves_no_thread_or_connection(
-        cli_ring_path, split, opened):
+        cli_ring_path, split, opened, drop_reader):
     args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
             RANKING, "--mode", "statements"]
     want = _run(*args).output
+    drop_reader()  # the next report builds its partial table again
     split(3)
     connections, closed = opened
     before, threads = len(connections), set(threading.enumerate())
     assert _run(*args).output == want
-    # the report's connection and two helpers' for its one partial table
+    # the report's connection and two helpers' for its one partial table;
+    # the report's stays open as the thread's kept read connection
     assert len(connections) - before == 3
-    assert all(any(c is d for d in closed) for c in connections)
+    report, *helpers = connections[before:]
+    assert compiler._readers.kept.conn is report
+    assert not any(c is report for c in closed)
+    assert all(any(c is d for d in closed) for c in helpers)
     assert set(threading.enumerate()) == threads
 
 
@@ -614,13 +655,14 @@ def test_report_built_in_ranges_leaves_no_thread_or_connection(
     (["plan", "run", "--plan", PLAN], [2020]),
 ], ids=["report", "plan"])
 def test_verbose_shows_the_blocks_a_partial_table_is_built_from(
-        nullable_db, tmp_path, split, command, partial_params):
+        nullable_db, tmp_path, split, drop_reader, command, partial_params):
     db, _ = nullable_db  # rowids 1..122
     shutil.copy(db, tmp_path / "wildfire.db")
     ring = tmp_path / "wildfire_ring.json"
     ring.write_text(RING_PATH.read_text())
     args = [*command, "--ring", str(ring), "--verbose"]
     one_scan = _run(*args)
+    drop_reader()  # the next run builds its partial table again
     split(2, block_rows=16)
     blocked = _run(*args)
     assert blocked.exit_code == one_scan.exit_code == 0

@@ -448,9 +448,9 @@ def gapped_db(tmp_path_factory, nullable_db):
     return path, MemoryDataset(tables=dict(dataset.tables, wildfires=fires))
 
 
-def _blueprint_plans_match_oracle(ring, db, dataset) -> list[int]:
+def _blueprint_plans_match_oracle(ring, db, dataset) -> list[list[str]]:
     """Check every fact of each fixture request type, aggregation and size
-    filter on ``db``; return the number of partial tables each reads."""
+    filter on ``db``; return the partial tables each reads."""
     partials = []
     for name in _FIXTURE_REQUESTS:
         doc = json.loads(load_fixture_request(name))
@@ -462,8 +462,8 @@ def _blueprint_plans_match_oracle(ring, db, dataset) -> list[int]:
                 for fact in instantiate(ring, load_blueprint(request.report),
                                         request):
                     assert_matches_oracle(ring, db, dataset, fact.plan)
-                    partials.append(len(_preaggregated(
-                        compile_plan(ring, fact.plan))))
+                    partials.append(_preaggregated(
+                        compile_plan(ring, fact.plan)))
     assert len(partials) == 8 * 2 * 22 and any(partials)
     assert not all(partials)
     return partials
@@ -476,12 +476,17 @@ def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
 @pytest.mark.parametrize("gaps", [False, True], ids=["dense", "gapped"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_partials_built_in_ranges_match_oracle_with_nulls(
-        ring, nullable_db, gapped_db, split, opened, k, gaps):
+        ring, nullable_db, gapped_db, split, opened, monkeypatch, k, gaps):
     split(k)
+    # every plan's TEMP tables fit on the one kept connection
+    monkeypatch.setattr(compiler, "MAX_TEMP_TABLES", 10_000)
     partials = _blueprint_plans_match_oracle(
         ring, *(gapped_db if gaps else nullable_db))
-    # a connection per plan, and k - 1 helpers per partial table
-    assert len(opened[0]) == len(partials) + (k - 1) * sum(partials)
+    # one connection for every plan, and k - 1 helpers for each partial
+    # table: a plan reads the ones earlier plans built, as the database has
+    # not changed
+    built = {name for names in partials for name in names}
+    assert len(opened[0]) == 1 + (k - 1) * len(built)
 
 
 def _one_state_matches_oracle(ring, db, dataset, state):
@@ -631,6 +636,28 @@ def test_states_without_a_name_share_one_group(ring, tmp_path):
             assert_matches_oracle(ring, db, dataset, plan)
     rows = run_plan(ring, _by_state("count_unique", "|B|"), db).rows
     assert rows == [(None, 2), ("California", 1), ("Nevada", 1)]
+
+
+def test_null_join_keys_match_nothing(ring, tmp_path):
+    # as SQL's =, a fire with no state joins no state, not even one whose
+    # id is NULL (possible once states.id is no INTEGER PRIMARY KEY)
+    dataset = MemoryDataset(tables={
+        "states": [{"id": 1, "name": "California"},
+                   {"id": None, "name": "Nowhere"}],
+        "wildfires": [{"id": 1, "state_id": 1, "size_acres": 10.0,
+                       "year": 2020},
+                      {"id": 2, "state_id": None, "size_acres": 20.0,
+                       "year": 2020}]})
+    db = tmp_path / "wildfire.db"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.executescript(
+            "CREATE TABLE states (id INTEGER, name TEXT);" + FIRES.format("")
+            + "; INSERT INTO states VALUES (1, 'California'), "
+              "(NULL, 'Nowhere'); INSERT INTO wildfires VALUES "
+              "(1, 1, 10.0, 2020), (2, NULL, 20.0, 2020);")
+    plan = _by_state("sum", "|B|")
+    assert run_plan(ring, plan, db).rows == [("California", 10.0)]
+    assert_matches_oracle(ring, db, dataset, plan)
 
 
 def test_holistic_aggregation_of_the_primary_key_side_keeps_one_level(
@@ -835,7 +862,7 @@ def test_fact_table_without_a_usable_rowid_is_read_in_one_scan(
     before = len(opened[0])
     for op in ("sum", "count", "max"):
         assert_matches_oracle(ring, db, dataset, _by_state(op, "|B|"))
-    assert len(opened[0]) - before == 3
+    assert len(opened[0]) - before == 1  # the kept connection, no helper
 
 
 def test_range_behind_a_pending_commit_is_read_by_the_report(
@@ -917,3 +944,91 @@ def test_failed_range_names_its_statement_and_leaves_nothing_open(
     assert len(connections) == 3  # the set-up's, the report's, one helper's
     assert all(any(c is d for d in closed) for c in connections)
     assert set(threading.enumerate()) == threads
+
+
+# ---------------------------------------------------------------------------
+# the kept read connection: its TEMP tables serve later reports until the
+# database changes
+
+
+def _report(ring, db, plans) -> list:
+    """The rows of ``plans`` run as one report on the thread's kept read
+    connection to ``db``."""
+    with compiler.reader(db) as conn:
+        return [execute(compile_plan(ring, p), conn).rows for p in plans]
+
+
+def test_passing_the_temp_table_bound_reopens_the_connection(
+        ring_db, opened, monkeypatch, drop_reader):
+    ring, db = ring_db
+    reports = {name: [f.plan for f in _fixture_facts(ring, name)]
+               for name in ("ranking_california", "time_over_time_california")}
+    want = {name: _report(ring, db, plans) for name, plans in reports.items()}
+    drop_reader()
+    connections, _ = opened
+    before = len(connections)
+    monkeypatch.setattr(compiler, "MAX_TEMP_TABLES", 5)  # ranking's 4 + 1
+    seen = []
+    for name in ("ranking_california", "ranking_california",
+                 "time_over_time_california", "ranking_california"):
+        assert _report(ring, db, reports[name]) == want[name]
+        [(tables,)] = compiler._readers.kept.conn.execute(
+            "SELECT count(*) FROM sqlite_temp_master").fetchall()
+        seen.append((len(connections) - before, tables))
+    # at the bound the connection is kept; past it, reopened empty
+    assert seen == [(1, 5), (1, 5), (1, 13), (2, 5)]
+
+
+def test_report_after_a_failed_block_build_builds_it_again(
+        ring, nullable_db, split, monkeypatch, drop_reader):
+    db, _ = nullable_db  # rowids 1..122: eight blocks of 16
+    plan = _by_state("sum", "|B|")
+    split(1, block_rows=16)  # every block on the report's connection
+    want = run_plan(ring, plan, db).rows
+    drop_reader()
+    connect, failing = sqlite3.connect, [True]
+
+    class FailsAtItsSecondBlock(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if failing[0] and sql.startswith("INSERT INTO p_"):
+                raise sqlite3.OperationalError("disk I/O error")
+            return super().execute(sql, *args)
+
+    monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connect(
+        *args, factory=FailsAtItsSecondBlock, **kwargs))
+    with pytest.raises(DbError, match="disk I/O error"):
+        run_plan(ring, plan, db)  # leaves the partial with its first block
+    assert compiler._readers.kept is None
+    failing[0] = False
+    assert run_plan(ring, plan, db).rows == want
+
+
+def test_threads_report_at_once_each_on_its_own_connection(ring_db):
+    ring, db = ring_db
+    reports = [[f.plan for f in _fixture_facts(ring, name)]
+               for name in _FIXTURE_REQUESTS]
+    want = [_report(ring, db, plans) for plans in reports]
+    start = threading.Barrier(4)
+    got, kept = {}, {}
+
+    def reports_of(t: int) -> None:
+        start.wait(timeout=10)
+        got[t] = [_report(ring, db, reports[(t + i) % 3]) for i in range(12)]
+        kept[t] = compiler._readers.kept.conn
+        kept[t].close()  # a thread's own: closed in it
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reports_of, args=(t,))
+                   for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {t: [want[(t + i) % 3] for i in range(12)]
+                   for t in range(4)}
+    assert len({id(c) for c in kept.values()}) == 4

@@ -39,7 +39,9 @@ starts, so in rollback-journal mode no commit lands mid-report. The
 connection and its TEMP tables outlive the report: the next report of the
 thread on the same file reads them, unless another connection has
 committed (``PRAGMA data_version``), the file was replaced (its device and
-inode) or more than ``MAX_TEMP_TABLES`` are held; then, and after any
+inode), ``sqlite3.connect`` was replaced (so a wrapper put on it, such as a
+tracer, sees the connection) or more than ``MAX_TEMP_TABLES`` are held;
+then, and after any
 error, the connection is reopened empty, so a TEMP table is only ever read
 in the snapshot it was built from (a recycler of intermediates, Ivanova et
 al., SIGMOD 2009).
@@ -751,6 +753,9 @@ class _Reader:
 
     def __init__(self, db_path: Union[str, Path], path: Path):
         self.path = path
+        # a wrapper later put on sqlite3.connect (a tracer, a test's counter)
+        # sees the next report's connection
+        self.opener = sqlite3.connect
         # taken before the open: a file replaced in between reads as changed
         self.file = _file_id(path)
         self.conn = connect(db_path)
@@ -766,10 +771,11 @@ class _Reader:
 
     def begin(self, path: Path) -> bool:
         """Begin a read transaction on the kept connection; whether it may
-        go on: ``path`` is the file it opened, no other connection has
-        committed since its TEMP tables were built, and they number at most
+        go on: ``path`` is the file it opened, ``sqlite3.connect`` is the
+        function that opened it, no other connection has committed since its
+        TEMP tables were built, and they number at most
         ``MAX_TEMP_TABLES``."""
-        if path != self.path:
+        if path != self.path or sqlite3.connect is not self.opener:
             return False
         _run(self.conn, "BEGIN", [])
         [(tables,)] = _run(self.conn, "SELECT count(*) FROM sqlite_temp_master",
@@ -791,8 +797,9 @@ def reader(db_path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
     """This thread's read-only connection to ``db_path``, in a read
     transaction for the ``with`` block. The connection and its TEMP tables
     are kept after the block, until a report of this thread reads another
-    file or finds that another connection has committed, the file was
-    replaced or ``MAX_TEMP_TABLES`` is passed: then it is reopened, so every
+    file or finds that another connection has committed, the file or
+    ``sqlite3.connect`` was replaced or ``MAX_TEMP_TABLES`` is passed: then
+    it is reopened, so every
     TEMP table a block finds was built from the snapshot it reads. The
     transaction ends with the block, so no lock is held between reports; an
     exception closes the connection, so nothing it half built is kept."""
@@ -821,10 +828,7 @@ def execute(compiled: CompiledQuery, conn: sqlite3.Connection,
     ``echo`` gets each statement and its parameters before it runs, a
     partial table's once per block."""
     echo = echo or (lambda sql, params: None)
-    names = [name for name, _, _ in compiled.materializations]
-    built = {n for n, in _run(
-        conn, "SELECT name FROM sqlite_temp_master WHERE name IN "
-              f"({', '.join('?' * len(names))})", names)} if names else set()
+    built = {n for n, in _run(conn, "SELECT name FROM sqlite_temp_master", [])}
     for name, sql, params in compiled.materializations:
         if name in built:
             continue

@@ -979,6 +979,25 @@ def test_passing_the_temp_table_bound_reopens_the_connection(
     assert seen == [(1, 5), (1, 5), (1, 13), (2, 5)]
 
 
+def test_a_wrapper_put_on_connect_sees_the_next_report(ring_db, monkeypatch):
+    ring, db = ring_db
+    plans = [f.plan for f in _fixture_facts(ring, "ranking_california")]
+    want = _report(ring, db, plans)
+    first = compiler._readers.kept.conn
+    connect, seen = sqlite3.connect, []
+
+    def wrapper(*args, **kwargs):
+        seen.append(connect(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", wrapper)
+    assert _report(ring, db, plans) == want
+    assert _report(ring, db, plans) == want  # kept while the wrapper stays
+    assert seen == [compiler._readers.kept.conn]
+    with pytest.raises(sqlite3.ProgrammingError):
+        first.execute("SELECT 1")  # closed when it was replaced
+
+
 def test_report_after_a_failed_block_build_builds_it_again(
         ring, nullable_db, split, monkeypatch, drop_reader):
     db, _ = nullable_db  # rowids 1..122: eight blocks of 16

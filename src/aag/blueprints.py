@@ -341,7 +341,8 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
     """The request's facts, their queries compiled with ``Param`` slots once
     per shape (ring text and ``ReportRequest.shape``) and bound to each
     report's values: parametric query optimization (Ioannidis, Ng, Shim &
-    Sellis, VLDB 1992)."""
+    Sellis, VLDB 1992). A TEMP table that several facts read is bound and
+    named once per report."""
     ctx = _context(ring, request)
     key = ring_text, request.shape()
     _compiled[key] = _compiled.pop(key, None) or [
@@ -349,9 +350,9 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
         for f in instantiate(ring, blueprint, request)]
     if len(_compiled) > CACHE_SIZE:  # drop the least recently used
         del _compiled[next(iter(_compiled))]
-    values = request.literals()
+    values, tables = request.literals(), {}  # each shared table bound once
     return [Fact(req.id, statement, _inputs(req, request, ctx, {}),
-                 compiled=compiled.bind(values))
+                 compiled=compiled.bind(values, tables))
             for req, (statement, compiled) in
             zip(blueprint.requirements, _compiled[key])]
 

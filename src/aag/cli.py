@@ -33,6 +33,7 @@ def _emit(text: str, out: str | None) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
+        tmp = None  # moved: nothing is left to remove
     except OSError as e:
         raise AagError(f"cannot write {path}: {e.strerror or e}") from e
     finally:
@@ -72,9 +73,9 @@ def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
     r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
     compiled = compiler.compile_plan(r, load_plan(ns.plan))
-    with compiler.reader(r.db_path(Path(ns.ring).parent)) as conn:
+    with compiler.reader(r.db_path(Path(ns.ring).parent)) as (conn, tables):
         result = compiler.execute(compiled, conn,
-                                  _echo_sql if ns.verbose else None)
+                                  _echo_sql if ns.verbose else None, tables)
     _emit(render_table(result), ns.out)
 
 
@@ -94,11 +95,11 @@ def _report_generate(ns: argparse.Namespace) -> None:
     # the thread's kept read connection: the report's facts, and the next
     # reports while the database is unchanged, share the TEMP tables on it
     echo = _echo_sql if ns.verbose else None
-    with compiler.reader(r.db_path(Path(ns.ring).parent)) as conn:
+    with compiler.reader(r.db_path(Path(ns.ring).parent)) as (conn, tables):
         for fact in facts:
             if echo:
                 print(f"-- {fact.id}", file=sys.stderr)
-            fact.result = compiler.execute(fact.compiled, conn, echo)
+            fact.result = compiler.execute(fact.compiled, conn, echo, tables)
 
     if ns.mode == "tables":
         pieces = [render_table(f.result, title=f.id) for f in facts]

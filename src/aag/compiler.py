@@ -27,9 +27,10 @@ one grouping level. A decomposable aggregation (average as SUM/COUNT,
 standard deviation as SUM(v*v), SUM(v), COUNT(v)) is combined from any
 number of partial rows per key (two-phase aggregation, Shatdal & Naughton,
 SIGMOD 1995), so ``execute`` builds the partials of a T whose rowids span
-``MIN_BLOCKS`` blocks or more in blocks: rowid ranges aligned to multiples
-of ``BLOCK_ROWS``, widened by doubling until a sparse span has at most
-``MAX_BLOCKS``, so that each GROUP BY sort is small. Each of up to one
+``MIN_BLOCKS`` blocks or more, unless their filter is estimated from the
+span's first block to keep fewer rows, in blocks: rowid ranges aligned to
+multiples of ``BLOCK_ROWS``, widened by doubling until a sparse span has
+at most ``MAX_BLOCKS``, so that each GROUP BY sort is small. Each of up to one
 connection per CPU reads a contiguous share of the blocks, one after
 another, and the rows go into the TEMP table in block order. The blocks
 and their order depend only on T's rowid span, so raw results are the same
@@ -44,7 +45,8 @@ tracer, sees the connection) or more than ``MAX_TEMP_TABLES`` are held;
 then, and after any
 error, the connection is reopened empty, so a TEMP table is only ever read
 in the snapshot it was built from (a recycler of intermediates, Ivanova et
-al., SIGMOD 2009).
+al., SIGMOD 2009). ``reader`` reads the names of the TEMP tables once per
+report, and ``execute`` adds each one it builds.
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
@@ -53,8 +55,10 @@ emitted as the numbered parameter ``?N`` (its 1-based position), so a
 compiled text that appears more than once reuses the same numbers. A request
 value (a ``Param``) is a marked slot of the list: ``CompiledQuery.bind`` fills
 it with the plan's own value or another and renames each TEMP table from its
-bound SQL and parameters. Median and string_agg are ordinary aggregates
-registered by ``connect``.
+bound SQL and parameters; the queries of one report share their bound
+tables, so each is bound and named once per report (multiple-query
+optimization, Sellis, TODS 1988). Median and string_agg are ordinary
+aggregates registered by ``connect``.
 """
 
 from __future__ import annotations
@@ -91,17 +95,23 @@ class CompiledQuery:
     subplans: list[Subplan] = field(default_factory=list)
     # (name, sql, params) of each materialization, upstream first
     materializations: list = field(default_factory=list)
-    # partial table -> (fact table, its SQL restricted to rowids ?N+1..?N+2)
+    # partial table -> (fact table, its SQL restricted to rowids ?N+1..?N+2,
+    # and the count of the fact rows its filter keeps there, up to ?N+3, or
+    # None when it has no filter)
     ranged: dict = field(default_factory=dict)
     # the query as compiled, with the ``Param`` slots that ``bind`` fills
     shape: Optional[CompiledQuery] = field(default=None, compare=False,
                                            repr=False)
 
-    def bind(self, values: Optional[dict] = None) -> CompiledQuery:
+    def bind(self, values: Optional[dict] = None,
+             tables: Optional[dict] = None) -> CompiledQuery:
         """This query's shape with its ``Param`` slots filled from ``values``
         (by default, each slot's own value) and its TEMP tables named by
-        their bound content, upstream first."""
+        their bound content, upstream first. ``tables`` maps a shape's TEMP
+        table to its bound ``(name, sql, params)``; the queries of one
+        report share it, so each table they share is bound once."""
         shape = self.shape or self
+        tables = {} if tables is None else tables
         names: dict[str, str] = {}
 
         def bound(sql: str, params: list) -> tuple[str, list]:
@@ -110,11 +120,12 @@ class CompiledQuery:
             return sql, [p if not isinstance(p, Param) else _sql_value(
                 p.value if values is None else values[p.name]) for p in params]
 
-        mats = []
         for name, sql, params in shape.materializations:
-            sql, params = bound(sql, params)
-            names[name] = _table_name(name[:2], sql, params)
-            mats.append((names[name], sql, params))
+            if name not in tables:
+                sql, params = bound(sql, params)
+                tables[name] = _table_name(name[:2], sql, params), sql, params
+            names[name] = tables[name][0]
+        mats = [tables[name] for name, _, _ in shape.materializations]
         return CompiledQuery(
             *bound(shape.sql, shape.params), shape.output_columns,
             [Subplan(names.get(s.name, s.name), s.kind) for s in shape.subplans],
@@ -211,7 +222,7 @@ class _Compiler:
         self.params: list = []
         self.subplans: list[Subplan] = []
         self._mats: dict = {}  # (name, sql, params) by return label or name
-        self.ranged: dict[str, tuple[str, str]] = {}
+        self.ranged: dict[str, tuple[str, str, Optional[str]]] = {}
 
     def bind(self, value) -> str:
         """Append a literal, or a request value's slot, to the statement's
@@ -502,9 +513,12 @@ class _Region:
         n = len(params)
         # a holistic partial cannot be combined across blocks: one scan
         if not self.holistic:
-            self.c.ranged[name] = (self.fact, select(
-                [*self.fact_where,
-                 f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]))
+            block = [*self.fact_where,
+                     f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]
+            probe = (f"SELECT count(*) FROM (SELECT 1 FROM {fact}\nWHERE "
+                     f"{' AND '.join(block)} LIMIT ?{n + 3})")
+            self.c.ranged[name] = (self.fact, select(block),
+                                   probe if self.fact_where else None)
         return "FROM " + ", ".join(f"{name} AS {fact}" if t == self.fact
                                    else _q(t) for t in self.joins.tables)
 
@@ -715,7 +729,10 @@ def compile_plan(ring: Ring, plan: SqrPlan) -> CompiledQuery:
 # sparse span widens the blocks, doubling, to at most MAX_BLOCKS. A span of
 # fewer than MIN_BLOCKS * BLOCK_ROWS rowids is read in one scan: over the
 # three report types, blocks on one and on two connections were 4.5% and
-# 12.5% slower than one scan at 50,000 rowids, 2.5% and 1.8% faster at 65,536
+# 12.5% slower than one scan at 50,000 rowids, 2.5% and 1.8% faster at 65,536.
+# The same break-even holds for the rows a filter keeps, as only they are
+# sorted: a year partial keeping 10% of 200,000 rows took 25.9 ms in one
+# scan and 34.7 ms in blocks on two connections
 BLOCK_ROWS = 16_384
 MAX_BLOCKS = 64
 MIN_BLOCKS = 4
@@ -759,6 +776,7 @@ class _Reader:
         # taken before the open: a file replaced in between reads as changed
         self.file = _file_id(path)
         self.conn = connect(db_path)
+        self.tables: set[str] = set()  # its TEMP tables: none when opened
         try:
             self.version = self._version()
         except DbError:
@@ -774,14 +792,17 @@ class _Reader:
         go on: ``path`` is the file it opened, ``sqlite3.connect`` is the
         function that opened it, no other connection has committed since its
         TEMP tables were built, and they number at most
-        ``MAX_TEMP_TABLES``."""
+        ``MAX_TEMP_TABLES``. Their names are read here, once per report."""
         if path != self.path or sqlite3.connect is not self.opener:
             return False
         _run(self.conn, "BEGIN", [])
-        [(tables,)] = _run(self.conn, "SELECT count(*) FROM sqlite_temp_master",
-                           [])
-        return (self._version() == self.version
-                and _file_id(path) == self.file and tables <= MAX_TEMP_TABLES)
+        self.tables = _temp_tables(self.conn)
+        return (self._version() == self.version and _file_id(path) == self.file
+                and len(self.tables) <= MAX_TEMP_TABLES)
+
+
+def _temp_tables(conn: sqlite3.Connection) -> set[str]:
+    return {n for n, in _run(conn, "SELECT name FROM sqlite_temp_master", [])}
 
 
 def _file_id(path: Path) -> Optional[tuple[int, int]]:
@@ -793,13 +814,15 @@ def _file_id(path: Path) -> Optional[tuple[int, int]]:
 
 
 @contextmanager
-def reader(db_path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
+def reader(db_path: Union[str, Path]
+           ) -> Iterator[tuple[sqlite3.Connection, set[str]]]:
     """This thread's read-only connection to ``db_path``, in a read
-    transaction for the ``with`` block. The connection and its TEMP tables
-    are kept after the block, until a report of this thread reads another
-    file or finds that another connection has committed, the file or
-    ``sqlite3.connect`` was replaced or ``MAX_TEMP_TABLES`` is passed: then
-    it is reopened, so every
+    transaction for the ``with`` block, and the names of the TEMP tables it
+    holds, read once, for ``execute`` to skip and add to. The connection
+    and its TEMP tables are kept after the block, until a report of this
+    thread reads another file or finds that another connection has
+    committed, the file or ``sqlite3.connect`` was replaced or
+    ``MAX_TEMP_TABLES`` is passed: then it is reopened, so every
     TEMP table a block finds was built from the snapshot it reads. The
     transaction ends with the block, so no lock is held between reports; an
     exception closes the connection, so nothing it half built is kept."""
@@ -811,7 +834,7 @@ def reader(db_path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
             kept = None
         if kept is None:
             kept = _Reader(db_path, path)
-        yield kept.conn
+        yield kept.conn, kept.tables
         _run(kept.conn, "COMMIT", [])
         # the page cache is read again from the OS: no growth between reports
         _run(kept.conn, "PRAGMA shrink_memory", [])
@@ -823,23 +846,27 @@ def reader(db_path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
 
 
 def execute(compiled: CompiledQuery, conn: sqlite3.Connection,
-            echo: Optional[Callable[[str, list], None]] = None) -> ResultSet:
+            echo: Optional[Callable[[str, list], None]] = None,
+            tables: Optional[set[str]] = None) -> ResultSet:
     """Build the TEMP tables of the query ``conn`` lacks, then run it;
     ``echo`` gets each statement and its parameters before it runs, a
-    partial table's once per block."""
+    partial table's once per block. ``tables`` names the TEMP tables
+    ``conn`` holds, as ``reader`` gives them, and gains each one built;
+    by default they are read from ``conn``."""
     echo = echo or (lambda sql, params: None)
-    built = {n for n, in _run(conn, "SELECT name FROM sqlite_temp_master", [])}
+    tables = _temp_tables(conn) if tables is None else tables
     for name, sql, params in compiled.materializations:
-        if name in built:
+        if name in tables:
             continue
-        fact, ranged = compiled.ranged.get(name, (None, None))
-        blocks = fact and _blocks(conn, fact)
+        fact, ranged, probe = compiled.ranged.get(name, (None, None, None))
+        blocks = fact and _blocks(conn, fact, probe, params)
         if blocks:
             _build_in_blocks(conn, name, params, ranged, blocks, echo)
-            continue
-        create = f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}"
-        echo(create, params)
-        _run(conn, create, params)
+        else:
+            create = f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}"
+            echo(create, params)
+            _run(conn, create, params)
+        tables.add(name)
     echo(compiled.sql, compiled.params)
     rows = _run(conn, compiled.sql, compiled.params)
     return ResultSet(columns=compiled.output_columns, rows=rows)
@@ -918,11 +945,14 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _blocks(conn: sqlite3.Connection, fact: str) -> list[list[int]]:
+def _blocks(conn: sqlite3.Connection, fact: str, probe: Optional[str] = None,
+            params: Optional[list] = None) -> list[list[int]]:
     """Rowid bounds of ``fact``'s blocks: aligned to multiples of
     ``BLOCK_ROWS``, or of the smallest doubling of it that leaves at most
     ``MAX_BLOCKS``; none when it is read in one scan, as a span of fewer
-    than ``MIN_BLOCKS * BLOCK_ROWS`` rowids is."""
+    than ``MIN_BLOCKS * BLOCK_ROWS`` rowids is, or a filter estimated to
+    keep fewer rows: ``probe`` counts those it keeps among the span's first
+    ``BLOCK_ROWS`` rowids, with ``params``, the rowid bounds and a limit."""
     if not _run(conn, "SELECT 1 FROM sqlite_master WHERE type = 'table' AND "
                       "name = ?", [fact]):
         return []
@@ -941,6 +971,11 @@ def _blocks(conn: sqlite3.Connection, fact: str) -> list[list[int]]:
             or _run(conn, "PRAGMA journal_mode", [])[0][0] == "wal" \
             or _run(conn, "SELECT 1 FROM pragma_table_info(?) WHERE lower("
                           "name) IN ('rowid', '_rowid_', 'oid')", [fact]):
+        return []
+    # kept / BLOCK_ROWS * span >= MIN_BLOCKS * BLOCK_ROWS: count to ``need``
+    need = -(-MIN_BLOCKS * BLOCK_ROWS * BLOCK_ROWS // (hi - lo + 1))
+    if probe and _run(conn, probe, [*params, lo, lo + BLOCK_ROWS - 1,
+                                    need])[0][0] < need:
         return []
     return [[max(b * width, lo), min(b * width + width - 1, hi)]
             for b in range(lo // width, hi // width + 1)]
@@ -983,5 +1018,5 @@ class _StringAgg(_NonNullValues):
 
 def run_plan(ring: Ring, plan: SqrPlan,
              db_path: Union[str, Path]) -> ResultSet:
-    with reader(db_path) as conn:
-        return execute(compile_plan(ring, plan), conn)
+    with reader(db_path) as (conn, tables):
+        return execute(compile_plan(ring, plan), conn, tables=tables)

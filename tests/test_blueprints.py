@@ -1,9 +1,10 @@
 import copy
+import importlib.util
 import json
 
 import pytest
 
-from aag import blueprints
+from aag import blueprints, compiler
 from aag.blueprints import (
     build_prompt,
     builtin_templates,
@@ -16,9 +17,10 @@ from aag.blueprints import (
 from aag.compiler import compile_plan, run_plan
 from aag.errors import AagError
 from aag.plans import Param, plan_to_dict
+from aag.registry import DERIVATION_AGGREGATIONS
 from aag.types import DatetimeValue
 
-from conftest import load_fixture_request
+from conftest import REPO, load_fixture_request
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +283,48 @@ def test_bound_shapes_equal_direct_compiles(ring, monkeypatch):
             assert [f.compiled for f in got] == \
                 [compile_plan(ring, f.plan) for f in want], doc
     assert hits == 2 * 36
+
+
+def _benchmark_states() -> tuple:
+    """The 50 state names of the benchmark's generated databases."""
+    spec = importlib.util.spec_from_file_location(
+        "datagen", REPO / "bench" / "datagen.py")
+    datagen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(datagen)
+    return datagen.STATES
+
+
+def test_a_report_binds_each_table_its_facts_share_once(ring, monkeypatch):
+    monkeypatch.setattr(blueprints, "_compiled", type(blueprints._compiled)())
+    names, table_name = [], compiler._table_name
+    monkeypatch.setattr(compiler, "_table_name",
+                        lambda *args: names.append(table_name(*args))
+                        or names[-1])
+    states = _benchmark_states()
+    assert len(states) == 50
+    reports = 0
+    for name in ("ranking_california", "benchmark_california",
+                 "time_over_time_california"):
+        doc = json.loads(load_fixture_request(name))
+        for aggregation in DERIVATION_AGGREGATIONS:
+            for filters in ([], [{"attribute": "size", "op": "greater_than",
+                                  "value": 100}]):
+                for target in (doc["target"], *states):
+                    request = parse_request(dict(
+                        doc, aggregation=aggregation, filters=filters,
+                        target=target))
+                    blueprint = load_blueprint(request.report)
+                    compile_facts(ring, ring.name, blueprint, request)
+                    names.clear()  # the shape is compiled: count binds only
+                    got = compile_facts(ring, ring.name, blueprint, request)
+                    tables = {t for f in got
+                              for t, _, _ in f.compiled.materializations}
+                    assert sorted(names) == sorted(tables)
+                    values = request.literals()
+                    assert [f.compiled for f in got] == [
+                        f.compiled.shape.bind(values) for f in got]
+                    reports += 1
+    assert reports == 3 * 8 * 2 * 51
 
 
 def test_shape_tells_value_kinds_and_equalities_apart():

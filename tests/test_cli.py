@@ -614,6 +614,31 @@ def test_second_report_builds_and_prints_no_temp_table(cli_ring_path,
     assert again == outputs
 
 
+@pytest.mark.parametrize("name", ["ranking_california",
+                                  "benchmark_california",
+                                  "time_over_time_california"])
+def test_a_report_reads_the_names_of_its_temp_tables_once(
+        cli_ring_path, monkeypatch, name):
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            str(FIXTURES / "requests" / f"{name}.json"), "--mode",
+            "statements"]
+    connect, ran = sqlite3.connect, []
+
+    def traced(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(ran.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    reads = []
+    for _ in range(3):  # on a new connection, then twice on the kept one
+        ran.clear()
+        assert _run(*args).exit_code == 0
+        reads.append(sum("sqlite_temp_master" in sql for sql in ran))
+    # a new connection holds no TEMP table, so there is nothing to read
+    assert reads == [0, 1, 1]
+
+
 def test_report_sees_a_database_file_replaced_between_reports(
         cli_ring_path, tmp_path):
     ring, db = _private_copy(cli_ring_path, tmp_path)
@@ -658,6 +683,10 @@ def test_verbose_shows_the_blocks_a_partial_table_is_built_from(
         nullable_db, tmp_path, split, drop_reader, command, partial_params):
     db, _ = nullable_db  # rowids 1..122
     shutil.copy(db, tmp_path / "wildfire.db")
+    with closing(sqlite3.connect(tmp_path / "wildfire.db")) as conn:
+        # the plan's year filter keeps enough fires to be built in blocks
+        conn.execute("UPDATE wildfires SET year = 2020 WHERE id % 4 != 0")
+        conn.commit()
     ring = tmp_path / "wildfire_ring.json"
     ring.write_text(RING_PATH.read_text())
     args = [*command, "--ring", str(ring), "--verbose"]

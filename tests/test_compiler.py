@@ -477,7 +477,9 @@ def test_preaggregation_matches_oracle_with_nulls(ring, nullable_db):
 @pytest.mark.parametrize("k", [2, 3])
 def test_partials_built_in_ranges_match_oracle_with_nulls(
         ring, nullable_db, gapped_db, split, opened, monkeypatch, k, gaps):
-    split(k)
+    # blocks of 4 rowids: every filter keeps a fire among the first block's,
+    # so it is estimated to keep enough rows to be built in blocks
+    split(k, block_rows=4)
     # every plan's TEMP tables fit on the one kept connection
     monkeypatch.setattr(compiler, "MAX_TEMP_TABLES", 10_000)
     partials = _blueprint_plans_match_oracle(
@@ -847,6 +849,34 @@ def test_span_of_fewer_than_min_blocks_is_read_in_one_scan(
     assert len(opened[0]) - before == 1 + helpers
 
 
+@pytest.mark.parametrize("filters, probes, blocked", [
+    ({}, 0, True),
+    ({"F": {"op": "exact", "args": ["|Y|", 2020]}}, 1, True),  # keeps 90%
+    (_YEAR_2019, 1, False),  # keeps 10%
+], ids=["unfiltered", "keeps_most", "keeps_few"])
+def test_partial_whose_filter_keeps_few_rows_is_read_in_one_scan(
+        ring, tmp_path, split, filters, probes, blocked):
+    dataset = MemoryDataset(tables={
+        "states": [{"id": 1, "name": "California"},
+                   {"id": 2, "name": "Nevada"}],
+        "wildfires": [{"id": i, "state_id": 1 + i % 2, "size_acres": i * 1.5,
+                       "year": 2019 if i % 10 == 0 else 2020}
+                      for i in range(1, 201)]})
+    db = write_db(tmp_path / "wildfire.db", dataset)
+    plan = _by_state("sum", "|B|", **filters)
+    split(2, block_rows=16)  # rowids 1..200: 13 blocks, break-even 64 rows
+    traced, echoed = [], []
+    with closing(connect(db)) as conn:
+        conn.set_trace_callback(traced.append)
+        got = execute(compile_plan(ring, plan), conn,
+                      lambda sql, params: echoed.append(sql))
+    _assert_agrees(got, oracle_eval(ring, plan, dataset))
+    # the probe counts the rows the filter keeps among rowids 1..16
+    assert sum(sql.startswith("SELECT count(*) FROM") for sql in traced) \
+        == probes
+    assert any("rowid BETWEEN" in sql for sql in echoed) == blocked
+
+
 @pytest.mark.parametrize("fires, after", [
     (FIRES.format(""), "ALTER TABLE wildfires RENAME TO fires; "
      "CREATE VIEW wildfires AS SELECT * FROM fires"),
@@ -954,8 +984,9 @@ def test_failed_range_names_its_statement_and_leaves_nothing_open(
 def _report(ring, db, plans) -> list:
     """The rows of ``plans`` run as one report on the thread's kept read
     connection to ``db``."""
-    with compiler.reader(db) as conn:
-        return [execute(compile_plan(ring, p), conn).rows for p in plans]
+    with compiler.reader(db) as (conn, tables):
+        return [execute(compile_plan(ring, p), conn, tables=tables).rows
+                for p in plans]
 
 
 def test_passing_the_temp_table_bound_reopens_the_connection(

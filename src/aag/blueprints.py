@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -331,9 +332,11 @@ def instantiate(ring: Ring, blueprint: Blueprint,
     return facts
 
 
-# compiled shapes kept per process (about 24 KB each), in order of use
+# compiled shapes kept per process (about 24 KB each), in order of use; the
+# threads of a process share them under the lock
 CACHE_SIZE = 128
 _compiled: dict = {}
+_compiled_lock = threading.Lock()
 
 
 def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
@@ -345,16 +348,17 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
     named once per report."""
     ctx = _context(ring, request)
     key = ring_text, request.shape()
-    _compiled[key] = _compiled.pop(key, None) or [
-        (f.statement, compiler.compile_plan(ring, f.plan).shape)
-        for f in instantiate(ring, blueprint, request)]
-    if len(_compiled) > CACHE_SIZE:  # drop the least recently used
-        del _compiled[next(iter(_compiled))]
+    with _compiled_lock:
+        shapes = _compiled[key] = _compiled.pop(key, None) or [
+            (f.statement, compiler.compile_plan(ring, f.plan).shape)
+            for f in instantiate(ring, blueprint, request)]
+        if len(_compiled) > CACHE_SIZE:  # drop the least recently used
+            del _compiled[next(iter(_compiled))]
     values, tables = request.literals(), {}  # each shared table bound once
     return [Fact(req.id, statement, _inputs(req, request, ctx, {}),
                  compiled=compiled.bind(values, tables))
             for req, (statement, compiled) in
-            zip(blueprint.requirements, _compiled[key])]
+            zip(blueprint.requirements, shapes)]
 
 
 # ---------------------------------------------------------------------------

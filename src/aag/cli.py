@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import sys
-import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import blueprints as bp
@@ -23,15 +23,22 @@ from .statements import render_table
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Print ``text``, or write it to ``out`` atomically."""
+    """Print ``text``, or write it to ``out`` atomically, in UTF-8, with
+    mode 0666 less the umask."""
     if not out:
         return print(text)
     path, tmp = Path(out), None
+    name = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=f".{path.name}.")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC,
+                     0o666)
+        tmp = name  # ours from here on: removed unless moved
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
         tmp = None  # moved: nothing is left to remove
     except OSError as e:
@@ -54,6 +61,17 @@ def _load_ring_checked(ring_path: str, text: str):
         print(*violations, sep="\n", file=sys.stderr)
         raise SystemExit(1)
     return derive_attributes(ring)
+
+
+# the blueprint and bound facts of the CACHE_SIZE (ring path, ring text,
+# request text) keys used last; never results: each report runs copies of
+# the facts on the database as it is then
+@functools.lru_cache(maxsize=bp.CACHE_SIZE)
+def _bound_facts(ring_path: str, ring_text: str, request_text: str):
+    request = bp.parse_request(request_text)
+    blueprint = bp.load_blueprint(request.report)
+    ring = _load_ring_checked(ring_path, ring_text)
+    return blueprint, bp.compile_facts(ring, ring_text, blueprint, request)
 
 
 def _ring_validate(ns: argparse.Namespace) -> None:
@@ -83,15 +101,16 @@ def _report_generate(ns: argparse.Namespace) -> None:
     """Run a report request end to end (or stop at an intermediate stage)."""
     ring_text = Path(ns.ring).read_text()
     r = _load_ring_checked(ns.ring, ring_text)
-    request = bp.parse_request(Path(ns.request).read_text())
-    blueprint = bp.load_blueprint(request.report)
+    request_text = Path(ns.request).read_text()
 
     if ns.mode == "plans":
-        facts = bp.instantiate(r, blueprint, request)
+        request = bp.parse_request(request_text)
+        facts = bp.instantiate(r, bp.load_blueprint(request.report), request)
         doc = {f.id: plan_to_dict(f.plan) for f in facts}
         return _emit(json.dumps(doc, indent=2), ns.out)
 
-    facts = bp.compile_facts(r, ring_text, blueprint, request)
+    blueprint, bound = _bound_facts(ns.ring, ring_text, request_text)
+    facts = [replace(f) for f in bound]  # this report's results go on these
     # the thread's kept read connection: the report's facts, and the next
     # reports while the database is unchanged, share the TEMP tables on it
     echo = _echo_sql if ns.verbose else None

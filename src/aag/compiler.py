@@ -26,27 +26,18 @@ partial is built in one scan, and a T joined on its own primary key keeps
 one grouping level. A decomposable aggregation (average as SUM/COUNT,
 standard deviation as SUM(v*v), SUM(v), COUNT(v)) is combined from any
 number of partial rows per key (two-phase aggregation, Shatdal & Naughton,
-SIGMOD 1995), so ``execute`` builds the partials of a T whose rowids span
-``MIN_BLOCKS`` blocks or more, unless their filter is estimated from the
-span's first block to keep fewer rows, in blocks: rowid ranges aligned to
-multiples of ``BLOCK_ROWS``, widened by doubling until a sparse span has
-at most ``MAX_BLOCKS``, so that each GROUP BY sort is small. Each of up to one
-connection per CPU reads a contiguous share of the blocks, one after
-another, and the rows go into the TEMP table in block order. The blocks
-and their order depend only on T's rowid span, so raw results are the same
-on any number of CPUs. ``reader`` begins a report's read transaction on
-the thread's kept connection and reads the database before any helper
-starts, so in rollback-journal mode no commit lands mid-report. The
-connection and its TEMP tables outlive the report: the next report of the
-thread on the same file reads them, unless another connection has
-committed (``PRAGMA data_version``), the file was replaced (its device and
-inode), ``sqlite3.connect`` was replaced (so a wrapper put on it, such as a
-tracer, sees the connection) or more than ``MAX_TEMP_TABLES`` are held;
-then, and after any
-error, the connection is reopened empty, so a TEMP table is only ever read
-in the snapshot it was built from (a recycler of intermediates, Ivanova et
-al., SIGMOD 2009). ``reader`` reads the names of the TEMP tables once per
-report, and ``execute`` adds each one it builds.
+SIGMOD 1995), so ``execute`` may build them in rowid blocks (``_blocks``),
+so that each GROUP BY sort is small, on up to one connection per CPU
+(``_build_in_blocks``). The blocks and their order depend only on T's rowid
+span, so raw results are the same on any number of CPUs. ``reader`` begins
+a report's read transaction on the thread's kept connection and reads the
+database before any helper starts, so in rollback-journal mode no commit
+lands mid-report. The connection and its TEMP tables outlive the report (a
+recycler of intermediates, Ivanova et al., SIGMOD 2009). The invariant to
+keep: a TEMP table is only ever read in the snapshot it was built from, so
+``reader`` reopens the connection empty whenever that may not hold; when it
+does so is user-visible and stated in docs/formats.md (the ``--verbose``
+paragraph).
 
 Materializations whose columns are all ungrouped aggregates are known to be
 single-row; other regions consume them through scalar subqueries rather than
@@ -819,11 +810,9 @@ def reader(db_path: Union[str, Path]
     """This thread's read-only connection to ``db_path``, in a read
     transaction for the ``with`` block, and the names of the TEMP tables it
     holds, read once, for ``execute`` to skip and add to. The connection
-    and its TEMP tables are kept after the block, until a report of this
-    thread reads another file or finds that another connection has
-    committed, the file or ``sqlite3.connect`` was replaced or
-    ``MAX_TEMP_TABLES`` is passed: then it is reopened, so every
-    TEMP table a block finds was built from the snapshot it reads. The
+    and its TEMP tables are kept after the block while ``_Reader.begin``
+    allows, else reopened empty, so every TEMP table a block finds was
+    built from the snapshot it reads. The
     transaction ends with the block, so no lock is held between reports; an
     exception closes the connection, so nothing it half built is kept."""
     path = Path(db_path).absolute()

@@ -1,18 +1,12 @@
 """Plan representation: a directed acyclic graph of labeled analytic steps.
 
-A plan document is JSON:
-
-    {
-      "version": "sqr_plan_v1",
-      "steps": {"A": {"op": "retrieve_entity", "args": ["Wildfire"]}, ...},
-      "result": "I"
-    }
-
-Step arguments are either references to other steps (written ``"|A|"``),
-literals (numbers, strings, booleans; ISO-8601 strings are tagged as
-datetimes), or -- in templates only -- slot placeholders (``"{name}"``).
-A request value enters a plan as a ``Param``: a literal named for binding,
-compared (whatever its name), typed and serialized by its value.
+A plan document (``sqr_plan_v1``, specified in docs/formats.md) maps labels
+to steps and names the result step. Step arguments are either references to
+other steps (written ``"|A|"``), literals (numbers, strings, booleans;
+ISO-8601 strings are tagged as datetimes), or -- in templates only -- slot
+placeholders (``"{name}"``). A request value enters a plan as a ``Param``: a
+literal named for binding, compared (whatever its name), typed and
+serialized by its value.
 
 ``analyze_plan`` infers, for every step, its output kind set plus the
 presentation metadata (output name, nicename, units) and, for materialization

@@ -6,20 +6,7 @@ entities. Everything downstream (plan typing, compilation, the reference
 evaluator, statement rendering) consults the ring rather than the database
 schema directly.
 
-Document format (``ring_schema_v1``)::
-
-    {
-      "version": "ring_schema_v1",
-      "name": "...",
-      "db": "sqlite://relative/path.db",
-      "tables": [{"name": "wildfires", "primary_key": "id"}, ...],
-      "joins": [{"name": "wildfire_state",
-                 "left": "wildfires.state_id", "right": "states.id"}],
-      "entities": [...],
-      "relationships": [{"name": "wildfires_in_state",
-                         "from": "Wildfire", "to": "State",
-                         "join_path": ["wildfire_state"]}]
-    }
+The document format (``ring_schema_v1``) is specified in docs/formats.md.
 """
 
 from __future__ import annotations

@@ -125,6 +125,14 @@ def drop_reader(monkeypatch):
     drop()
 
 
+@pytest.fixture(autouse=True)
+def forget_requests():
+    """No test sees the report requests another parsed and bound."""
+    from aag import cli
+
+    cli._bound_facts.cache_clear()
+
+
 @pytest.fixture
 def opened(monkeypatch):
     """The connections ``sqlite3.connect`` opens while the test runs, and

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from aag import blueprints, compiler, plans, templates
+from aag import blueprints, cli, compiler, plans, templates
 
 from conftest import FIXTURES, REPO, RING_PATH, invoke
 
@@ -326,6 +326,7 @@ def _report_outputs(ring, request, clear):
     for extra in (["--mode", "statements", "--verbose"], ["--mode", "tables"]):
         if clear:
             blueprints._compiled.clear()
+            cli._bound_facts.cache_clear()
         result = invoke(["report", "generate", "--ring", ring,
                          "--request", request, *extra])
         outputs.append((result.exit_code, result.stdout, result.stderr))
@@ -340,6 +341,7 @@ def test_cached_shapes_report_as_uncached_ones(cli_ring_path, tmp_path,
     outputs = {}
     for clear in (False, True):
         blueprints._compiled.clear()
+        cli._bound_facts.cache_clear()
         drop_reader()  # each pass builds its TEMP tables, so --verbose shows them
         outputs[clear] = []
         for doc in docs:
@@ -408,6 +410,165 @@ def test_cache_keeps_at_most_its_bound(cli_ring_path, monkeypatch, tmp_path):
     kept = [shape for _, (shape, _) in blueprints._compiled]
     assert [a for shape in kept for a in AGGREGATIONS
             if f"aggregation={a!r}" in shape] == list(AGGREGATIONS[2:5])
+
+
+def _parsed(doc):
+    request = blueprints.parse_request(doc)
+    return request, blueprints.load_blueprint(request.report)
+
+
+def test_threads_share_the_shape_cache_at_its_bound(ring, monkeypatch):
+    """Threads that miss at the cache's bound evict shapes under one
+    another and still get the facts one thread alone gets."""
+    monkeypatch.setattr(blueprints, "CACHE_SIZE", 2)
+    monkeypatch.setattr(blueprints, "_compiled", {})
+    ring_text = RING_PATH.read_text()
+    parsed = [_parsed(doc) for doc in _shape_sequence(0)]
+    assert len({request.shape() for request, _ in parsed}) == 72
+    want = [blueprints.compile_facts(ring, ring_text, blueprint, request)
+            for request, blueprint in parsed]
+    start = threading.Barrier(4)
+    got = {}
+
+    def facts_of(t: int) -> None:
+        start.wait(timeout=10)
+        got[t] = [blueprints.compile_facts(ring, ring_text, blueprint,
+                                           request)
+                  for request, blueprint in parsed[18 * t:] +
+                  parsed[:18 * t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=facts_of, args=(t,))
+                   for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {t: want[18 * t:] + want[:18 * t] for t in range(4)}
+    assert len(blueprints._compiled) == 2
+
+
+def _counted(monkeypatch, *names):
+    """Each call of the ``blueprints`` functions ``names``, in order."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _fn=getattr(blueprints, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(blueprints, name, wrapper)
+    return calls
+
+
+def test_a_repeated_request_is_parsed_and_bound_once(cli_ring_path,
+                                                    monkeypatch):
+    calls = _counted(monkeypatch, "parse_request", "compile_facts")
+    bind, binds = compiler.CompiledQuery.bind, []
+    monkeypatch.setattr(compiler.CompiledQuery, "bind",
+                        lambda *args: binds.append(1) or bind(*args))
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            RANKING]
+    first = _run(*args, "--mode", "statements").output
+    assert calls == ["parse_request", "compile_facts"] and binds
+    binds.clear()
+    outputs = {first, *(_run(*args, "--mode", mode).output
+                        for mode in ("statements", "prompt", "report"))}
+    assert len(outputs) == 3
+    assert calls == ["parse_request", "compile_facts"] and binds == []
+    # --mode plans instantiates the request, as it did before the memo
+    assert _run(*args, "--mode", "plans").exit_code == 0
+    assert calls == ["parse_request", "compile_facts", "parse_request"]
+
+
+def test_a_rewritten_request_or_ring_misses_the_memo(cli_ring_path, tmp_path,
+                                                     monkeypatch):
+    ring, _ = _private_copy(cli_ring_path, tmp_path)
+    request = tmp_path / "request.json"
+    args = ["report", "generate", "--ring", str(ring), "--request",
+            str(request), "--mode", "statements"]
+    calls = _counted(monkeypatch, "parse_request")
+    outputs = []
+    for doc, name in ((_request_doc("ranking"), "state"),
+                      (_request_doc("ranking", target="Nevada"), "state"),
+                      (_request_doc("ranking", target="Nevada"), "province")):
+        request.write_text(json.dumps(doc))
+        ring.write_text(ring.read_text().replace(
+            '"state", "states"', f'"{name}", "{name}s"'))
+        outputs.append(_run(*args).output)
+    assert len(calls) == 3 and len(set(outputs)) == 3
+    assert "California" in outputs[0] and "Nevada" in outputs[1]
+    assert "provinces" in outputs[2]
+    cli._bound_facts.cache_clear()
+    assert _run(*args).output == outputs[2]  # as parsed and bound afresh
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("{", "error: invalid JSON: "),
+    (json.dumps(_request_doc("ranking", target="|A|")),
+     "error: '|A|' is written as a reference or a slot"),
+    (json.dumps(dict(_request_doc("ranking"), metric="bogus")),
+     "error: entity 'Wildfire' has no attribute 'bogus'\n"),
+], ids=["json", "value", "metric"])
+def test_a_failing_request_fails_alike_every_time(cli_ring_path, tmp_path,
+                                                  monkeypatch, doc, message):
+    request = tmp_path / "request.json"
+    request.write_text(doc)
+    calls = _counted(monkeypatch, "parse_request")
+    results = [_run("report", "generate", "--ring", str(cli_ring_path),
+                    "--request", str(request)) for _ in range(3)]
+    assert {(r.exit_code, r.stdout, r.stderr) for r in results} == \
+        {(1, "", results[0].stderr)}
+    assert results[0].stderr.startswith(message)
+    assert len(calls) == 3  # an error is never memoized
+    assert cli._bound_facts.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", ["ranking_california",
+                                  "benchmark_california",
+                                  "time_over_time_california"])
+def test_a_repeated_report_writes_the_bytes_of_the_first(
+        cli_ring_path, tmp_path, drop_reader, name):
+    """Every ``--mode``, with ``--out`` and ``--verbose``: a report whose
+    request was memoized prints and writes what the first one did."""
+    request = str(FIXTURES / "requests" / f"{name}.json")
+    for mode in ("plans", "tables", "statements", "prompt", "report"):
+        cli._bound_facts.cache_clear()
+        runs = []
+        for run in ("first", "repeated"):
+            drop_reader()  # each run builds its TEMP tables and prints them
+            out = tmp_path / f"{mode}_{run}.txt"
+            result = _run("report", "generate", "--ring", str(cli_ring_path),
+                          "--request", request, "--mode", mode, "--out",
+                          str(out), "--verbose")
+            assert result.exit_code == 0, result.output
+            facts = Path(f"{out}.facts")
+            runs.append((result.stdout, result.stderr, out.read_bytes(),
+                         facts.exists() and facts.read_bytes()))
+        assert runs[0] == runs[1]
+        assert cli._bound_facts.cache_info().hits == (mode != "plans")
+    assert (tmp_path / "report_first.txt.facts").read_bytes() + b"\n" == \
+        (REPO / "tests" / "goldens" / f"{name}_statements.txt").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                         ids=["022", "077", "002"])
+def test_out_files_take_their_mode_from_the_umask(cli_ring_path, tmp_path,
+                                                  umask):
+    out = tmp_path / "report.txt"
+    old = os.umask(umask)
+    try:
+        result = _run("report", "generate", "--ring", str(cli_ring_path),
+                      "--request", RANKING, "--out", str(out))
+    finally:
+        os.umask(old)
+    assert result.exit_code == 0
+    for path in (out, Path(f"{out}.facts")):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_rewritten_ring_reports_as_a_fresh_process(cli_ring_path, tmp_path):
@@ -595,6 +756,7 @@ def test_report_holds_no_lock_and_sees_new_rows(cli_ring_path, tmp_path):
     after = _run(*args)
     assert after.exit_code == 0
     assert "A total of 3 states were compared." in after.output
+    assert cli._bound_facts.cache_info().hits == 1  # a repeated request
 
 
 def test_second_report_builds_and_prints_no_temp_table(cli_ring_path,

@@ -15,16 +15,16 @@ Eager aggregation (Yan & Larson, VLDB 1995): when a region joins tables,
 every aggregation reads one fact table T that no key or other column reads,
 and each filter conjunct reads only T or no T column, then T is replaced by
 its partials: T-only conjuncts and grouping by T's join columns in a
-statement of its own, a TEMP table ``p_<hash>`` read under T's name. A
-holistic aggregation (count_unique, median, string_agg) is held whole in
-its partial (invariant grouping, Chaudhuri & Shim, VLDB 1994): an outer
-group that joins exactly one partial row (``COUNT(*) = 1``) holds the same
-fact rows as in one grouping level and reads it; any other group computes
-the aggregation in one grouping level, in a subquery that aliases its own
+statement of its own, a TEMP table ``p_<hash>`` read under T's name.
+``_AGGS`` says how each aggregation compiles, in one grouping level and
+from partials. A holistic aggregation is held whole in its partial
+(invariant grouping, Chaudhuri & Shim, VLDB 1994): an outer group that
+joins exactly one partial row (``COUNT(*) = 1``) holds the same fact rows
+as in one grouping level and reads it; any other group computes the
+aggregation in one grouping level, in a subquery that aliases its own
 tables and is correlated by a NULL-safe ``IS`` on each outer key. Such a
 partial is built in one scan, and a T joined on its own primary key keeps
-one grouping level. A decomposable aggregation (average as SUM/COUNT,
-standard deviation as SUM(v*v), SUM(v), COUNT(v)) is combined from any
+one grouping level. A decomposable aggregation is combined from any
 number of partial rows per key (two-phase aggregation, Shatdal & Naughton,
 SIGMOD 1995), so ``execute`` may build them in rowid blocks (``_blocks``),
 so that each GROUP BY sort is small, on up to one connection per CPU
@@ -105,11 +105,16 @@ class CompiledQuery:
         tables = {} if tables is None else tables
         names: dict[str, str] = {}
 
-        def bound(sql: str, params: list) -> tuple[str, list]:
+        def renamed(sql: str) -> str:
             for old, new in names.items():
                 sql = sql.replace(old, new)
-            return sql, [p if not isinstance(p, Param) else _sql_value(
-                p.value if values is None else values[p.name]) for p in params]
+            return sql
+
+        def bound(sql: str, params: list) -> tuple[str, list]:
+            return renamed(sql), [
+                p if not isinstance(p, Param) else _sql_value(
+                    p.value if values is None else values[p.name])
+                for p in params]
 
         for name, sql, params in shape.materializations:
             if name not in tables:
@@ -117,10 +122,13 @@ class CompiledQuery:
                 tables[name] = _table_name(name[:2], sql, params), sql, params
             names[name] = tables[name][0]
         mats = [tables[name] for name, _, _ in shape.materializations]
+        # a partial's blocks and probe read the same upstream tables
+        ranged = {names[n]: (fact, renamed(block), probe and renamed(probe))
+                  for n, (fact, block, probe) in shape.ranged.items()}
         return CompiledQuery(
             *bound(shape.sql, shape.params), shape.output_columns,
             [Subplan(names.get(s.name, s.name), s.kind) for s in shape.subplans],
-            mats, {names[n]: r for n, r in shape.ranged.items()}, shape)
+            mats, ranged, shape)
 
 
 @dataclass
@@ -184,24 +192,37 @@ _INFIX = {"and": " AND ", "or": " OR ", "add": " + ", "subtract": " - ",
           "multiply": " * "}
 _COMPARE = {"exact": "=", "greater_than": ">", "greater_than_eq": ">=",
             "less_than": "<", "less_than_eq": "<="}
-_SIMPLE_AGGS = {"average": "AVG({})", "sum": "(SUM({}) * 1.0)",
-                "count": "COUNT({})", "count_unique": "COUNT(DISTINCT {})",
-                "max": "MAX({})", "min": "MIN({})", "get_one": "MIN({})",
-                "median": "aag_median({})", "string_agg": "aag_string_agg({})"}
 
-
-_AGGREGATIONS = frozenset(op for op, sig in REGISTRY.items()
-                          if sig.is_aggregation)
-# aggregations a partial holds whole, as no outer grouping can combine them
-_HOLISTIC_AGGS = {"count_unique", "median", "string_agg"}
-# aggregations computed from per-join-key partials
-_EAGER_AGGS = {"sum", "count", "min", "max", "get_one", "average",
-               "standard_deviation", *_HOLISTIC_AGGS}
-
-
-def _stddev(v: str, mean=lambda e: f"AVG({e})") -> str:
-    m = mean(v)
-    return f"SQRT(MAX({mean(f'{v}*{v}')} - {m}*{m}, 0.0))"
+# One row per aggregation (distributive, algebraic or holistic, after Gray et
+# al., "Data Cube", 1997): its SQL in one grouping level over the value {v}
+# (correlation's second value is {w}); the partial columns it is computed
+# from per join key, over {v}, or None if holistic, as its one partial
+# column then holds it whole; and how those columns {0}, {1}, ... combine
+# over a group's partial rows, or None where it takes no eager path.
+_AGGS = {
+    "average": ("AVG({v})", ("COUNT({v})", "SUM({v})"),
+                "(CAST(SUM({1}) AS REAL) / SUM({0}))"),
+    "correlation": (
+        "(CASE WHEN COUNT({v}) < 2 THEN NULL ELSE "
+        "(AVG({v}*{w}) - AVG({v})*AVG({w})) / NULLIF("
+        "SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0)) * "
+        "SQRT(MAX(AVG({w}*{w}) - AVG({w})*AVG({w}), 0.0)), 0.0) END)",
+        (), None),
+    "count": ("COUNT({v})", ("COUNT({v})",), "COALESCE(SUM({0}), 0)"),
+    "count_unique": ("COUNT(DISTINCT {v})", None, "MIN({0})"),
+    "get_one": ("MIN({v})", ("MIN({v})",), "MIN({0})"),
+    "max": ("MAX({v})", ("MAX({v})",), "MAX({0})"),
+    "median": ("aag_median({v})", None, "MIN({0})"),
+    "min": ("MIN({v})", ("MIN({v})",), "MIN({0})"),
+    "standard_deviation": (
+        "SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0))",
+        ("COUNT({v})", "SUM({v})", "SUM({v}*{v})"),
+        "SQRT(MAX((CAST(SUM({2}) AS REAL) / SUM({0})) - "
+        "(CAST(SUM({1}) AS REAL) / SUM({0}))*(CAST(SUM({1}) AS REAL) / "
+        "SUM({0})), 0.0))"),
+    "string_agg": ("aag_string_agg({v})", None, "MIN({0})"),
+    "sum": ("(SUM({v}) * 1.0)", ("SUM({v})",), "(SUM({0}) * 1.0)"),
+}
 
 
 class _Compiler:
@@ -264,7 +285,7 @@ class _Compiler:
         return by_op, upstream
 
     def _is_scalar_mat(self, ret_label: str) -> bool:
-        return all(self.plan.steps[l].op in _AGGREGATIONS
+        return all(self.plan.steps[l].op in _AGGS
                    and self.info[l].grouping_label is None
                    for l in self.info[ret_label].collection_labels)
 
@@ -326,8 +347,8 @@ class _Region:
         self.entity_names = entity_names
         self.ret = comp.info[ret_label]
         self.aggs = [l for l in self.ret.collection_labels
-                     if comp.plan.steps[l].op in _AGGREGATIONS]
-        self.holistic = any(comp.plan.steps[l].op in _HOLISTIC_AGGS
+                     if comp.plan.steps[l].op in _AGGS]
+        self.holistic = any(_AGGS[comp.plan.steps[l].op][1] is None
                             for l in self.aggs)
         # label -> (alias, column) overrides installed by hoisted CTEs
         self.column_of: dict[str, tuple[str, str]] = {}
@@ -391,7 +412,7 @@ class _Region:
             return {self.c.ring.attribute(*si.attribute).source[0]}
         if si.source_return is not None:
             return set()
-        if self.c.plan.steps[label].op in _AGGREGATIONS:
+        if self.c.plan.steps[label].op in _AGGS:
             return {""}
         read: set[str] = set()
         for ref in self.c.plan.refs(label):
@@ -413,7 +434,7 @@ class _Region:
             return None
         read: set[str] = set()
         for l in self.aggs:
-            if self.c.plan.steps[l].op not in _EAGER_AGGS:
+            if _AGGS[self.c.plan.steps[l].op][2] is None:
                 return None
             read |= self._reads(self.c.info[l].value_label)
         if len(read) != 1 or "" in read:
@@ -445,26 +466,16 @@ class _Region:
     def _combine(self, label: str, v: str) -> str:
         """The aggregation ``label`` of ``v`` over the join, from the fact
         table's partials."""
-        def p(agg: str) -> str:  # the partial column holding agg
-            col = self.partials.setdefault(agg,
-                                           f'"aag_p{len(self.partials) + 1}"')
-            return f"{_q(self.fact)}.{col}"
-        op = self.c.plan.steps[label].op
-        if op in _HOLISTIC_AGGS:
+        one, partials, merge = _AGGS[self.c.plan.steps[label].op]
+        # a partial column another aggregation reads too is computed once
+        cols = [f"{_q(self.fact)}." + self.partials.setdefault(
+            agg.format(v=v), f'"aag_p{len(self.partials) + 1}"')
+            for agg in partials or (one,)]
+        if partials is None:
             # a group of one partial row holds the same fact rows either way
-            return (f"CASE WHEN COUNT(*) = 1 THEN "
-                    f"MIN({p(_SIMPLE_AGGS[op].format(v))}) "
+            return (f"CASE WHEN COUNT(*) = 1 THEN {merge.format(*cols)} "
                     f"ELSE {self._fallback(label)} END")
-        if op in ("min", "max", "get_one"):
-            f = "MAX" if op == "max" else "MIN"
-            return f"{f}({p(f'{f}({v})')})"
-        if op == "sum":
-            return f"(SUM({p(f'SUM({v})')}) * 1.0)"
-        n = p(f"COUNT({v})")
-        if op == "count":
-            return f"COALESCE(SUM({n}), 0)"
-        mean = lambda e: f"(CAST(SUM({p(f'SUM({e})')}) AS REAL) / SUM({n}))"
-        return mean(v) if op == "average" else _stddev(v, mean)
+        return merge.format(*cols)
 
     def _fallback(self, label: str) -> str:
         """The aggregation ``label`` in one grouping level, as a subquery
@@ -551,10 +562,10 @@ class _Region:
     def _hoist_nested_groups(self) -> None:
         """Aggregations over grouped aggregations read from a grouping CTE."""
         inputs = {self.c.info[l].value_label for op, labels in
-                  self.by_op.items() if op in _AGGREGATIONS for l in labels}
+                  self.by_op.items() if op in _AGGS for l in labels}
         # an aggregation's input is in its region unless a return
         inner_labels = {i for i in inputs
-                        if i and self.c.plan.steps[i].op in _AGGREGATIONS}
+                        if i and self.c.plan.steps[i].op in _AGGS}
         if not inner_labels:
             return
         if len(inner_labels) > 1:
@@ -599,7 +610,7 @@ class _Region:
                 return f"(SELECT {_q(si.source_column)} FROM {table})"
             return f"{_q(si.source_column)}"
 
-        if op in _AGGREGATIONS:
+        if op in _AGGS:
             return self._agg_expr(label)
 
         args = [self.expr(a.label) if isinstance(a, StepRef) else self.c.bind(a)
@@ -632,24 +643,14 @@ class _Region:
         raise AagError(f"cannot compile step {label!r} ({op})")
 
     def _agg_expr(self, label: str) -> str:
-        step = self.c.plan.steps[label]
-        op = step.op
-        if op == "correlation":
-            refs = [a.label for a in step.args if isinstance(a, StepRef)]
-            x = self.expr(refs[0])
-            y = self.expr(refs[1])
-            cov = f"(AVG({x}*{y}) - AVG({x})*AVG({y}))"
-            return (f"(CASE WHEN COUNT({x}) < 2 THEN NULL ELSE "
-                    f"{cov} / NULLIF({_stddev(x)} * {_stddev(y)}, 0.0) END)")
-        value = self.c.info[label].value_label
         if self.fact:
-            return self._combine(label, self._in_partial(value))
-        v = self.expr(value)
-        if op == "standard_deviation":
-            return _stddev(v)
-        if op in _SIMPLE_AGGS:
-            return _SIMPLE_AGGS[op].format(v)
-        raise AagError(f"aggregation {op!r}")
+            return self._combine(
+                label, self._in_partial(self.c.info[label].value_label))
+        step = self.c.plan.steps[label]
+        # the value inputs come first; a groupby follows them
+        values = step.args[:REGISTRY[step.op].inputs[0].max_arity]
+        return _AGGS[step.op][0].format(
+            **{k: self.expr(a.label) for k, a in zip("vw", values)})
 
     # -- assembly ---------------------------------------------------------------
 

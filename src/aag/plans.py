@@ -302,7 +302,7 @@ def analyze_plan(ring, plan: SqrPlan) -> dict[str, StepInfo]:
                           if si == 0]
             grouping = next((r for r, si in zip(refs, _ref_assignment(step, assignment))
                              if si == 1), None)
-            if not value_refs:
+            if len(value_refs) < assignment.count(0):
                 raise AagError(f"step {label!r}: {step.op} aggregates a literal, "
                                f"not a step")
             base = info[value_refs[0].label]

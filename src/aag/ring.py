@@ -262,18 +262,18 @@ def _split_colref(ref: str) -> tuple[str, str] | None:
     return (parts[0], parts[1]) if len(parts) == 2 else None
 
 
+def _duplicates(kind: str, path: str, items) -> list[Violation]:
+    """A violation for each name two of ``items`` share, in document order."""
+    names = [i.name for i in items]
+    return [Violation("DuplicateIdentifier", f"{path}.{name}",
+                      f"{kind} {name!r} is defined more than once")
+            for name in dict.fromkeys(names) if names.count(name) > 1]
+
+
 def validate_ring(ring: Ring) -> list[Violation]:
     """Structural validation; returns a list of violations (empty if clean)."""
-    out: list[Violation] = []
-    table_names = [t.name for t in ring.tables]
-    for name in {n for n in table_names if table_names.count(n) > 1}:
-        out.append(Violation("DuplicateIdentifier", f"tables.{name}",
-                             f"table {name!r} is defined more than once"))
-
-    join_names = [j.name for j in ring.joins]
-    for name in {n for n in join_names if join_names.count(n) > 1}:
-        out.append(Violation("DuplicateIdentifier", f"joins.{name}",
-                             f"join {name!r} is defined more than once"))
+    out = _duplicates("table", "tables", ring.tables)
+    out += _duplicates("join", "joins", ring.joins)
     for j in ring.joins:
         for side, ref in (("left", j.left), ("right", j.right)):
             col = _split_colref(ref)
@@ -286,21 +286,15 @@ def validate_ring(ring: Ring) -> list[Violation]:
                     "UnknownTable", f"joins.{j.name}.{side}",
                     f"join {j.name!r} references unknown table {col[0]!r}"))
 
-    entity_names = [e.name for e in ring.entities]
-    for name in {n for n in entity_names if entity_names.count(n) > 1}:
-        out.append(Violation("DuplicateIdentifier", f"entities.{name}",
-                             f"entity {name!r} is defined more than once"))
+    out += _duplicates("entity", "entities", ring.entities)
     for e in ring.entities:
         if ring.table(e.primary_table) is None:
             out.append(Violation(
                 "UnknownTable", f"entities.{e.name}.primary_table",
                 f"entity {e.name!r} has unknown primary table "
                 f"{e.primary_table!r}"))
-        attr_names = [a.name for a in e.attributes]
-        for name in {n for n in attr_names if attr_names.count(n) > 1}:
-            out.append(Violation(
-                "DuplicateIdentifier", f"entities.{e.name}.attributes.{name}",
-                f"attribute {name!r} is defined more than once"))
+        out += _duplicates("attribute", f"entities.{e.name}.attributes",
+                           e.attributes)
         for a in e.attributes:
             where = f"entities.{e.name}.attributes.{a.name}"
             if a.derived:
@@ -323,10 +317,7 @@ def validate_ring(ring: Ring) -> list[Violation]:
                     f"attribute {a.name!r} sources unknown table "
                     f"{a.source[0]!r}"))
 
-    rel_names = [r.name for r in ring.relationships]
-    for name in {n for n in rel_names if rel_names.count(n) > 1}:
-        out.append(Violation("DuplicateIdentifier", f"relationships.{name}",
-                             f"relationship {name!r} is defined more than once"))
+    out += _duplicates("relationship", "relationships", ring.relationships)
     for r in ring.relationships:
         where = f"relationships.{r.name}"
         for end, ent in (("from", r.frm), ("to", r.to)):

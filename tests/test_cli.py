@@ -53,6 +53,22 @@ def test_ring_validate_reports_violations(tmp_path):
     assert "UnknownTable" in result.output
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_ring_validate_lists_duplicates_in_document_order(tmp_path, seed):
+    doc = json.loads(RING_PATH.read_text())
+    doc["tables"] *= 2
+    bad = tmp_path / "bad_ring.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+    result = subprocess.run([sys.executable, "-m", "aag.cli", "ring",
+                             "validate", "--ring", str(bad)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == "".join(
+        f"DuplicateIdentifier at tables.{t}: table {t!r} is defined more "
+        f"than once\n" for t in ("wildfires", "states"))
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda d: d.update(tables=[1]), "tables[0] must be an object, got 1"),
     (lambda d: d.update(tables="x"), "tables must be a list, got 'x'"),
@@ -162,6 +178,26 @@ def test_plan_run_rejects_malformed_plan(cli_ring_path, tmp_path, step, result,
     assert out.exit_code == 1
     assert isinstance(out.exception, SystemExit)  # no traceback
     assert out.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["|B|", 5], ["|B|", 5, "|G|"]],
+                         ids=["ungrouped", "grouped"])
+def test_plan_run_rejects_correlation_of_a_literal(cli_ring_path, tmp_path,
+                                                   args):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"version": "sqr_plan_v1", "steps": {
+        "A": {"op": "retrieve_entity", "args": ["Wildfire"]},
+        "B": {"op": "retrieve_attribute", "args": ["|A|", "size"]},
+        "C": {"op": "retrieve_entity", "args": ["State"]},
+        "D": {"op": "retrieve_attribute", "args": ["|C|", "name"]},
+        "G": {"op": "groupby", "args": ["|D|"]},
+        "V": {"op": "correlation", "args": args}}, "result": "V"}))
+    out = invoke(["plan", "run", "--ring", str(cli_ring_path), "--plan",
+                  str(plan)])
+    assert out.exit_code == 1
+    assert isinstance(out.exception, SystemExit)  # no traceback
+    assert out.stderr == \
+        "error: step 'V': correlation aggregates a literal, not a step\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from aag.blueprints import (
 from aag.compiler import compile_plan, connect, execute, run_plan
 from aag.errors import AagError, DbError
 from aag.oracle import MemoryDataset, oracle_eval
-from aag.plans import parse_plan
-from aag.registry import DERIVATION_AGGREGATIONS
+from aag.plans import Param, SqrStep, StepRef, parse_plan
+from aag.registry import DERIVATION_AGGREGATIONS, REGISTRY
 from aag.ring import load_ring
 from aag.templates import fill_template
 
@@ -241,6 +241,11 @@ def test_plan_matches_oracle(ring_db, dataset, case):
     assert_matches_oracle(ring, db, dataset, plan)
     if want is not None:
         assert run_plan(ring, plan, db).rows == want
+
+
+def test_every_aggregation_has_one_row_in_the_compiler_table():
+    assert set(compiler._AGGS) == {op for op, sig in REGISTRY.items()
+                                   if sig.is_aggregation}
 
 
 def test_stddev_matches_oracle(ring_db, dataset):
@@ -875,6 +880,31 @@ def test_partial_whose_filter_keeps_few_rows_is_read_in_one_scan(
     assert sum(sql.startswith("SELECT count(*) FROM") for sql in traced) \
         == probes
     assert any("rowid BETWEEN" in sql for sql in echoed) == blocked
+
+
+def test_a_partial_filtered_by_a_request_value_reads_its_bound_tables(
+        ring, tmp_path):
+    # fires larger than the average fire of the year ``start``, by state:
+    # the partial's filter reads a materialization that holds a request
+    # value, and the rowids span MIN_BLOCKS blocks, so its probe runs
+    db, dataset = _fires_db(tmp_path / "wildfire.db", [
+        *range(1, 201), compiler.MIN_BLOCKS * compiler.BLOCK_ROWS])
+    plan = _by_state("sum", "|B|", **{
+        "W": {"op": "average", "args": ["|B|"]},
+        "WL": {"op": "collect", "args": ["|W|"]},
+        "WF": {"op": "exact", "args": ["|Y|", 2020]},
+        "WR": {"op": "return", "args": ["|WL|", "|WF|"]},
+        "WA": {"op": "retrieve_attribute", "args": ["|WR|", "average size"]},
+        "F": {"op": "greater_than", "args": ["|B|", "|WA|"]}})
+    # the year as a request value, as a report's plans carry it
+    plan.steps["WF"] = SqrStep("WF", "exact", (StepRef("Y"),
+                                               Param("start", 2020)))
+    compiled = compile_plan(ring, plan)
+    [(_, block, probe)] = compiled.ranged.values()
+    [mat] = [name for name, _, _ in compiled.materializations
+             if name.startswith("m_")]
+    assert mat in block and mat in probe
+    _assert_agrees(run_plan(ring, plan, db), oracle_eval(ring, plan, dataset))
 
 
 @pytest.mark.parametrize("fires, after", [

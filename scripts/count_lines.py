@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Count the lines of the Python files under a directory (default: src/aag)
-by kind: docstring lines (module, class and function docstrings, found with
-``ast``), comment lines (a leading ``#``), blank lines, and code (the rest).
+"""Count the lines of the Python files under src/aag by kind: docstring
+lines (module, class and function docstrings, found with ``ast``), comment
+lines (a leading ``#``), blank lines, and code (the rest).
 
-    python scripts/count_lines.py [DIRECTORY]
+    python scripts/count_lines.py
 """
 
 import ast
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,7 +16,8 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     lines: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+                             ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node):
             doc = node.body[0]
             lines.update(range(doc.lineno, doc.end_lineno + 1))
     return lines
@@ -35,12 +35,11 @@ def count(path: Path) -> dict[str, int]:
 
 
 def main() -> None:
-    directory = sys.argv[1] if len(sys.argv) > 1 else "src/aag"
     total = {"code": 0, "docstrings": 0, "comments": 0, "blank": 0}
-    for path in sorted(Path(ROOT, directory).rglob("*.py")):
+    for path in sorted(Path(ROOT, "src/aag").rglob("*.py")):
         for kind, n in count(path).items():
             total[kind] += n
-    print(f"{directory}: {sum(total.values())} lines")
+    print(f"src/aag: {sum(total.values())} lines")
     for kind, n in total.items():
         print(f"  {kind}: {n}")
 

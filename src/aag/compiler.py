@@ -196,9 +196,9 @@ _COMPARE = {"exact": "=", "greater_than": ">", "greater_than_eq": ">=",
 # One row per aggregation (distributive, algebraic or holistic, after Gray et
 # al., "Data Cube", 1997): its SQL in one grouping level over the value {v}
 # (correlation's second value is {w}); the partial columns it is computed
-# from per join key, over {v}, or None if holistic, as its one partial
-# column then holds it whole; and how those columns {0}, {1}, ... combine
-# over a group's partial rows, or None where it takes no eager path.
+# from per join key, over {v}, or None if none (a holistic one's one
+# partial column holds it whole); and how those columns {0}, {1}, ...
+# combine over a group's partial rows, or None where it takes no eager path.
 _AGGS = {
     "average": ("AVG({v})", ("COUNT({v})", "SUM({v})"),
                 "(CAST(SUM({1}) AS REAL) / SUM({0}))"),
@@ -207,7 +207,7 @@ _AGGS = {
         "(AVG({v}*{w}) - AVG({v})*AVG({w})) / NULLIF("
         "SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0)) * "
         "SQRT(MAX(AVG({w}*{w}) - AVG({w})*AVG({w}), 0.0)), 0.0) END)",
-        (), None),
+        None, None),
     "count": ("COUNT({v})", ("COUNT({v})",), "COALESCE(SUM({0}), 0)"),
     "count_unique": ("COUNT(DISTINCT {v})", None, "MIN({0})"),
     "get_one": ("MIN({v})", ("MIN({v})",), "MIN({0})"),
@@ -470,7 +470,7 @@ class _Region:
         # a partial column another aggregation reads too is computed once
         cols = [f"{_q(self.fact)}." + self.partials.setdefault(
             agg.format(v=v), f'"aag_p{len(self.partials) + 1}"')
-            for agg in partials or (one,)]
+            for agg in ((one,) if partials is None else partials)]
         if partials is None:
             # a group of one partial row holds the same fact rows either way
             return (f"CASE WHEN COUNT(*) = 1 THEN {merge.format(*cols)} "

@@ -370,8 +370,11 @@ def render_facts(facts: list[Fact]) -> list[Fact]:
     for fact in facts:
         if fact.result is None:
             raise AagError(f"fact {fact.id!r} has no result to render")
-        fact.text = render_statement(fact.statement, fact.result,
-                                     fact.statement_inputs)
+        try:
+            fact.text = render_statement(fact.statement, fact.result,
+                                         fact.statement_inputs)
+        except AagError as e:
+            raise AagError(f"fact {fact.id!r}: {e}") from e
     return facts
 
 

@@ -1,4 +1,7 @@
-"""Command-line interface, parsed by one argparse table.
+"""Command-line interface, parsed by one argparse table once per distinct
+command line: a process memoizes the parse of the 128 argv tuples it used
+last, checks their files again on every call, and never memoizes a usage
+error or ``--help``, which print and exit as a fresh parse does.
 
 Exit codes: 0 on success, 1 when an input fails validation or execution
 (``error: …`` on stderr), 2 for usage errors (wrong flags, missing files).
@@ -72,6 +75,12 @@ def _bound_facts(ring_path: str, ring_text: str, request_text: str):
     blueprint = bp.load_blueprint(request.report)
     ring = _load_ring_checked(ring_path, ring_text)
     return blueprint, bp.compile_facts(ring, ring_text, blueprint, request)
+
+
+# the CACHE_SIZE argv tuples parsed last; main copies each and checks its files
+@functools.lru_cache(maxsize=bp.CACHE_SIZE)
+def _parsed(argv: tuple[str, ...]) -> argparse.Namespace:
+    return _PARSER.parse_args(argv)
 
 
 def _ring_validate(ns: argparse.Namespace) -> None:
@@ -216,7 +225,14 @@ _PARSER = _build_parser()
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command; exit 1 on an ``AagError``, 2 on a usage error."""
     del standalone_mode  # still passed by bench/; it changes nothing
-    ns = _PARSER.parse_args(args)
+    argv = tuple(sys.argv[1:] if args is None else args)
+    ns = argparse.Namespace(**vars(_parsed(argv)))  # the caller's own copy
+    try:  # every option with a type is a file: check it as a parse would
+        for flag, spec in _COMMANDS[ns.group][1][ns.command][1]:
+            if "type" in spec and getattr(ns, flag[2:]) is not None:
+                spec["type"](getattr(ns, flag[2:]))
+    except argparse.ArgumentTypeError:
+        ns = _PARSER.parse_args(argv)  # prints the usage error, exits 2
     try:
         ns.handler(ns)
     except AagError as e:

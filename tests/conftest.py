@@ -127,9 +127,11 @@ def drop_reader(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def forget_requests():
-    """No test sees the report requests another parsed and bound."""
+    """No test sees the command lines and report requests another parsed,
+    nor the requests another bound."""
     from aag import cli
 
+    cli._parsed.cache_clear()
     cli._bound_facts.cache_clear()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -327,7 +328,8 @@ def test_report_on_a_sum_past_the_largest_double_exits_1(cli_ring_path,
                      "--request", str(request)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert "error: not a finite number: inf" in result.output
+    assert "error: fact 'target_value': not a finite number: inf" in \
+        result.output
     assert "Traceback" not in result.output
 
 
@@ -570,25 +572,128 @@ def test_a_failing_request_fails_alike_every_time(cli_ring_path, tmp_path,
 def test_a_repeated_report_writes_the_bytes_of_the_first(
         cli_ring_path, tmp_path, drop_reader, name):
     """Every ``--mode``, with ``--out`` and ``--verbose``: a report whose
-    request was memoized prints and writes what the first one did."""
+    command line and request were memoized prints and writes what the first
+    one did."""
     request = str(FIXTURES / "requests" / f"{name}.json")
     for mode in ("plans", "tables", "statements", "prompt", "report"):
+        cli._parsed.cache_clear()
         cli._bound_facts.cache_clear()
-        runs = []
+        out, runs = tmp_path / f"{mode}.txt", []
+        facts = Path(f"{out}.facts")
         for run in ("first", "repeated"):
             drop_reader()  # each run builds its TEMP tables and prints them
-            out = tmp_path / f"{mode}_{run}.txt"
             result = _run("report", "generate", "--ring", str(cli_ring_path),
                           "--request", request, "--mode", mode, "--out",
                           str(out), "--verbose")
             assert result.exit_code == 0, result.output
-            facts = Path(f"{out}.facts")
             runs.append((result.stdout, result.stderr, out.read_bytes(),
                          facts.exists() and facts.read_bytes()))
+            out.unlink()
+            facts.unlink(missing_ok=True)
         assert runs[0] == runs[1]
+        assert cli._parsed.cache_info()[:2] == (1, 1)  # hits, misses
         assert cli._bound_facts.cache_info().hits == (mode != "plans")
-    assert (tmp_path / "report_first.txt.facts").read_bytes() + b"\n" == \
+    assert runs[0][3] + b"\n" == \
         (REPO / "tests" / "goldens" / f"{name}_statements.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name, change, fact", [
+    ("ranking_california", {"target": "Atlantis"}, "target_value"),
+    ("time_over_time_california",
+     {"period": {"attribute": "year", "start": 2018, "end": 2020}},
+     "target_value_start"),
+], ids=["absent_target", "empty_period"])
+def test_a_fact_that_cannot_render_is_named(cli_ring_path, tmp_path, name,
+                                            change, fact):
+    request = tmp_path / "request.json"
+    doc = json.loads((FIXTURES / "requests" / f"{name}.json").read_text())
+    request.write_text(json.dumps(dict(doc, **change)))
+    result = _run("report", "generate", "--ring", str(cli_ring_path),
+                  "--request", str(request))
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", f"error: fact {fact!r}: statement expects exactly one result "
+               "row, got 0\n")
+
+
+# ---------------------------------------------------------------------------
+# the command-line memo
+
+
+def test_identical_calls_parse_the_command_line_once(cli_ring_path,
+                                                     monkeypatch):
+    parse, parses = cli._PARSER.parse_args, []
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda args: parses.append(args) or parse(args))
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            RANKING, "--mode", "statements"]
+    results = {(r.exit_code, r.stdout, r.stderr)
+               for r in (_run(*args) for _ in range(5))}
+    assert len(results) == 1 and results.pop()[0] == 0
+    assert parses == [tuple(args)]
+
+
+@pytest.mark.parametrize("change", ["request_deleted", "out_is_a_directory"])
+def test_a_file_changed_between_calls_fails_as_a_fresh_parse(
+        cli_ring_path, tmp_path, change):
+    request, out = tmp_path / "request.json", tmp_path / "out.txt"
+    shutil.copy(RANKING, request)
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            str(request), "--mode", "statements", "--out", str(out)]
+    assert _run(*args).exit_code == 0
+    if change == "request_deleted":
+        request.unlink()
+    else:
+        out.unlink()
+        out.mkdir()
+    files = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+    memoized = _run(*args)
+    cli._parsed.cache_clear()
+    fresh = _run(*args)
+    assert (memoized.exit_code, memoized.stdout, memoized.stderr) == \
+        (fresh.exit_code, fresh.stdout, fresh.stderr)
+    assert fresh.exit_code == 2 and fresh.stdout == ""
+    assert fresh.stderr.startswith("usage: aag report generate")
+    problem = "does not exist" if change == "request_deleted" else \
+        "is a directory"
+    assert fresh.stderr.endswith(f"{problem}\n")
+    # neither call wrote a file
+    assert {p: p.is_dir() or p.read_bytes()
+            for p in tmp_path.rglob("*")} == files
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["report", "generate", "--help"], ["bogus"],
+    ["report", "generate", "--ring", str(RING_PATH), "--request", RANKING,
+     "--mode", "bogus"],
+], ids=["help", "command_help", "unknown_group", "unknown_mode"])
+def test_help_and_usage_errors_print_on_every_call(args):
+    results = [invoke(args) for _ in range(3)]
+    assert {(r.exit_code, r.stdout, r.stderr) for r in results} == \
+        {(results[0].exit_code, results[0].stdout, results[0].stderr)}
+    assert results[0].stdout.startswith("usage: aag") or \
+        results[0].stderr.startswith("usage: aag")
+    assert results[0].exit_code == (0 if "--help" in args else 2)
+    assert cli._parsed.cache_info().currsize == 0
+
+
+def test_a_namespace_changed_by_its_command_leaves_the_next_call_alone(
+        monkeypatch):
+    seen = []
+
+    def command(ns):
+        seen.append(dict(vars(ns)))
+        ns.verbose, ns.handler, ns.extra = True, None, 1
+
+    parse = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda args: (
+        argparse.Namespace(**dict(vars(parse(args)), handler=command))))
+    for _ in range(3):
+        assert invoke(["ring", "validate", "--ring", str(RING_PATH)]) \
+            .exit_code == 0
+    assert seen == [{"group": "ring", "command": "validate",
+                     "ring": str(RING_PATH), "verbose": False,
+                     "handler": command}] * 3
+    assert cli._parsed.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],

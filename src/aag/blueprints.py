@@ -27,6 +27,10 @@ from .types import ResultSet
 REQUEST_FORMAT_VERSION = "report_request_v1"
 BLUEPRINT_FORMAT_VERSION = "blueprint_v1"
 
+# the ops a request filter may use: comparisons of an attribute with a value
+FILTER_OPS = ("exact", "greater_than", "greater_than_eq", "less_than",
+              "less_than_eq")
+
 PROMPT_INSTRUCTIONS = (
     "Use only the facts provided. "
     "Do not introduce numbers not present in the facts."
@@ -102,9 +106,10 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
              "of at least 1"),
             (isinstance(filters, list) and all(
                 isinstance(f, dict) and "attribute" in f and "value" in f
-                and f.get("op", "exact") in tuple(registry.REGISTRY)
+                and f.get("op", "exact") in FILTER_OPS
                 for f in filters), "'filters' must be a list of objects with "
-             "an 'attribute', a 'value' and a known 'op'"),
+             "an 'attribute', a 'value' and an 'op' of "
+             + ", ".join(FILTER_OPS)),
             (isinstance(period, dict), "'period' must be an object")):
         if not ok:
             raise AagError(f"request {rule}")
@@ -229,15 +234,13 @@ def build_member_plan(ring: Ring, request: ReportRequest,
 # instantiation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fact:
     id: str
     statement: StatementTemplate
     statement_inputs: dict[str, str]
     plan: Optional[SqrPlan] = None  # from ``instantiate``
     compiled: Optional[compiler.CompiledQuery] = None  # from compile_facts
-    result: Optional[ResultSet] = None
-    text: Optional[str] = None
 
 
 def _context(ring: Ring, request: ReportRequest) -> dict[str, Any]:
@@ -301,12 +304,10 @@ def _inputs(req: Requirement, request: ReportRequest, ctx: dict,
 
 
 def instantiate(ring: Ring, blueprint: Blueprint,
-                request: ReportRequest,
-                templates: Optional[dict[str, PlanTemplate]] = None
-                ) -> list[Fact]:
+                request: ReportRequest) -> list[Fact]:
     """Turn a request into one fully composed plan per requirement; each
     request value enters the plans as a ``Param``."""
-    templates = templates or builtin_templates()
+    templates = builtin_templates()
     ctx = _context(ring, request)
     values = request.mapped(Param)
 
@@ -344,8 +345,7 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
     """The request's facts, their queries compiled with ``Param`` slots once
     per shape (ring text and ``ReportRequest.shape``) and bound to each
     report's values: parametric query optimization (Ioannidis, Ng, Shim &
-    Sellis, VLDB 1992). A TEMP table that several facts read is bound and
-    named once per report."""
+    Sellis, VLDB 1992)."""
     ctx = _context(ring, request)
     key = ring_text, request.shape()
     with _compiled_lock:
@@ -354,9 +354,9 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
             for f in instantiate(ring, blueprint, request)]
         if len(_compiled) > CACHE_SIZE:  # drop the least recently used
             del _compiled[next(iter(_compiled))]
-    values, tables = request.literals(), {}  # each shared table bound once
+    values = request.literals()
     return [Fact(req.id, statement, _inputs(req, request, ctx, {}),
-                 compiled=compiled.bind(values, tables))
+                 compiled=compiled.bind(values))
             for req, (statement, compiled) in
             zip(blueprint.requirements, shapes)]
 
@@ -365,21 +365,20 @@ def compile_facts(ring: Ring, ring_text: str, blueprint: Blueprint,
 # execution & prompt
 
 
-def render_facts(facts: list[Fact]) -> list[Fact]:
-    """Fill each fact's statement from its result (results must be present)."""
-    for fact in facts:
-        if fact.result is None:
-            raise AagError(f"fact {fact.id!r} has no result to render")
+def render_facts(facts: list[Fact], results: list[ResultSet]) -> list[str]:
+    """Each fact's statement, filled from its result."""
+    texts = []
+    for fact, result in zip(facts, results, strict=True):
         try:
-            fact.text = render_statement(fact.statement, fact.result,
-                                         fact.statement_inputs)
+            texts.append(render_statement(fact.statement, result,
+                                          fact.statement_inputs))
         except AagError as e:
             raise AagError(f"fact {fact.id!r}: {e}") from e
-    return facts
+    return texts
 
 
-def build_prompt(blueprint: Blueprint, facts: list[Fact]) -> str:
-    rendered = [f.text for f in facts if f.text]
+def build_prompt(blueprint: Blueprint, texts: list[str]) -> str:
+    rendered = [t for t in texts if t]
     if not rendered:
         raise AagError("cannot build a prompt from zero facts")
     lines = [

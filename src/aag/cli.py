@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import blueprints as bp
@@ -67,8 +66,8 @@ def _load_ring_checked(ring_path: str, text: str):
 
 
 # the blueprint and bound facts of the CACHE_SIZE (ring path, ring text,
-# request text) keys used last; never results: each report runs copies of
-# the facts on the database as it is then
+# request text) keys used last; never results: each report runs the facts
+# on the database as it is then
 @functools.lru_cache(maxsize=bp.CACHE_SIZE)
 def _bound_facts(ring_path: str, ring_text: str, request_text: str):
     request = bp.parse_request(request_text)
@@ -118,27 +117,29 @@ def _report_generate(ns: argparse.Namespace) -> None:
         doc = {f.id: plan_to_dict(f.plan) for f in facts}
         return _emit(json.dumps(doc, indent=2), ns.out)
 
-    blueprint, bound = _bound_facts(ns.ring, ring_text, request_text)
-    facts = [replace(f) for f in bound]  # this report's results go on these
+    blueprint, facts = _bound_facts(ns.ring, ring_text, request_text)
     # the thread's kept read connection: the report's facts, and the next
     # reports while the database is unchanged, share the TEMP tables on it
     echo = _echo_sql if ns.verbose else None
+    results = []
     with compiler.reader(r.db_path(Path(ns.ring).parent)) as (conn, tables):
         for fact in facts:
             if echo:
                 print(f"-- {fact.id}", file=sys.stderr)
-            fact.result = compiler.execute(fact.compiled, conn, echo, tables)
+            results.append(compiler.execute(fact.compiled, conn, echo,
+                                            tables))
 
     if ns.mode == "tables":
-        pieces = [render_table(f.result, title=f.id) for f in facts]
+        pieces = [render_table(result, title=f.id)
+                  for f, result in zip(facts, results)]
         return _emit("\n\n".join(pieces), ns.out)
 
-    bp.render_facts(facts)
-    statements = "\n".join(f.text for f in facts)
+    texts = bp.render_facts(facts, results)
+    statements = "\n".join(texts)
     if ns.mode == "statements":
         return _emit(statements, ns.out)
 
-    prompt = bp.build_prompt(blueprint, facts)
+    prompt = bp.build_prompt(blueprint, texts)
     if ns.mode == "prompt":
         return _emit(prompt, ns.out)
 

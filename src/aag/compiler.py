@@ -46,10 +46,8 @@ emitted as the numbered parameter ``?N`` (its 1-based position), so a
 compiled text that appears more than once reuses the same numbers. A request
 value (a ``Param``) is a marked slot of the list: ``CompiledQuery.bind`` fills
 it with the plan's own value or another and renames each TEMP table from its
-bound SQL and parameters; the queries of one report share their bound
-tables, so each is bound and named once per report (multiple-query
-optimization, Sellis, TODS 1988). Median and string_agg are ordinary
-aggregates registered by ``connect``.
+bound SQL and parameters. Median and string_agg are ordinary aggregates
+registered by ``connect``.
 """
 
 from __future__ import annotations
@@ -84,25 +82,21 @@ class CompiledQuery:
     params: list
     output_columns: list[ColumnMeta]
     subplans: list[Subplan] = field(default_factory=list)
-    # (name, sql, params) of each materialization, upstream first
+    # (name, sql, params, blocks) of each TEMP table, upstream first; a
+    # partial that may be built in rowid blocks has ``blocks``: its fact
+    # table, its SQL restricted to rowids ?N+1..?N+2, and the count of the
+    # fact rows its filter keeps there, up to ?N+3, or None when it has no
+    # filter; any other table has None
     materializations: list = field(default_factory=list)
-    # partial table -> (fact table, its SQL restricted to rowids ?N+1..?N+2,
-    # and the count of the fact rows its filter keeps there, up to ?N+3, or
-    # None when it has no filter)
-    ranged: dict = field(default_factory=dict)
     # the query as compiled, with the ``Param`` slots that ``bind`` fills
     shape: Optional[CompiledQuery] = field(default=None, compare=False,
                                            repr=False)
 
-    def bind(self, values: Optional[dict] = None,
-             tables: Optional[dict] = None) -> CompiledQuery:
+    def bind(self, values: Optional[dict] = None) -> CompiledQuery:
         """This query's shape with its ``Param`` slots filled from ``values``
         (by default, each slot's own value) and its TEMP tables named by
-        their bound content, upstream first. ``tables`` maps a shape's TEMP
-        table to its bound ``(name, sql, params)``; the queries of one
-        report share it, so each table they share is bound once."""
+        their bound content, upstream first."""
         shape = self.shape or self
-        tables = {} if tables is None else tables
         names: dict[str, str] = {}
 
         def renamed(sql: str) -> str:
@@ -116,19 +110,18 @@ class CompiledQuery:
                     p.value if values is None else values[p.name])
                 for p in params]
 
-        for name, sql, params in shape.materializations:
-            if name not in tables:
-                sql, params = bound(sql, params)
-                tables[name] = _table_name(name[:2], sql, params), sql, params
-            names[name] = tables[name][0]
-        mats = [tables[name] for name, _, _ in shape.materializations]
-        # a partial's blocks and probe read the same upstream tables
-        ranged = {names[n]: (fact, renamed(block), probe and renamed(probe))
-                  for n, (fact, block, probe) in shape.ranged.items()}
+        mats = []
+        for name, sql, params, blocks in shape.materializations:
+            sql, params = bound(sql, params)
+            if blocks:  # they read the same upstream tables
+                fact, block, probe = blocks
+                blocks = fact, renamed(block), probe and renamed(probe)
+            names[name] = _table_name(name[:2], sql, params)
+            mats.append((names[name], sql, params, blocks))
         return CompiledQuery(
             *bound(shape.sql, shape.params), shape.output_columns,
             [Subplan(names.get(s.name, s.name), s.kind) for s in shape.subplans],
-            mats, ranged, shape)
+            mats, shape)
 
 
 @dataclass
@@ -233,8 +226,7 @@ class _Compiler:
         self.ctes: list[tuple[str, str]] = []  # (name, sql)
         self.params: list = []
         self.subplans: list[Subplan] = []
-        self._mats: dict = {}  # (name, sql, params) by return label or name
-        self.ranged: dict[str, tuple[str, str, Optional[str]]] = {}
+        self._mats: dict = {}  # (name, sql, params, blocks) by label or name
 
     def bind(self, value) -> str:
         """Append a literal, or a request value's slot, to the statement's
@@ -258,8 +250,7 @@ class _Compiler:
         columns = [c for _, c in self.info[terminal].columns]
         return CompiledQuery(sql=sql, params=self.params,
                              output_columns=columns, subplans=self.subplans,
-                             materializations=list(self._mats.values()),
-                             ranged=self.ranged)
+                             materializations=list(self._mats.values()))
 
     # -- region helpers -------------------------------------------------------
 
@@ -302,11 +293,11 @@ class _Compiler:
         return self._mats[ret_label][0]
 
     def _add_table(self, prefix: str, sql: str, params: list,
-                  key=None) -> str:
+                   key=None, blocks=None) -> str:
         """Add a TEMP table's statement, once per ``key`` (default: its
         name); return the name its content gives it."""
         name = _table_name(prefix, sql, params)
-        self._mats.setdefault(key or name, (name, sql, params))
+        self._mats.setdefault(key or name, (name, sql, params, blocks))
         return name
 
     # -- region compilation --------------------------------------------------
@@ -510,8 +501,7 @@ class _Region:
             return (f"SELECT {cols}\nFROM {fact}"
                     + (f"\nWHERE {' AND '.join(where)}" if where else "")
                     + f"\nGROUP BY {', '.join(keys)}")
-        params = self.partial_params
-        name = self.c._add_table("p_", select(self.fact_where), params)
+        params, blocks = self.partial_params, None
         n = len(params)
         # a holistic partial cannot be combined across blocks: one scan
         if not self.holistic:
@@ -519,8 +509,10 @@ class _Region:
                      f"{fact}.rowid BETWEEN ?{n + 1} AND ?{n + 2}"]
             probe = (f"SELECT count(*) FROM (SELECT 1 FROM {fact}\nWHERE "
                      f"{' AND '.join(block)} LIMIT ?{n + 3})")
-            self.c.ranged[name] = (self.fact, select(block),
-                                   probe if self.fact_where else None)
+            blocks = (self.fact, select(block),
+                      probe if self.fact_where else None)
+        name = self.c._add_table("p_", select(self.fact_where), params,
+                                 blocks=blocks)
         return "FROM " + ", ".join(f"{name} AS {fact}" if t == self.fact
                                    else _q(t) for t in self.joins.tables)
 
@@ -845,13 +837,13 @@ def execute(compiled: CompiledQuery, conn: sqlite3.Connection,
     by default they are read from ``conn``."""
     echo = echo or (lambda sql, params: None)
     tables = _temp_tables(conn) if tables is None else tables
-    for name, sql, params in compiled.materializations:
+    for name, sql, params, blocks in compiled.materializations:
         if name in tables:
             continue
-        fact, ranged, probe = compiled.ranged.get(name, (None, None, None))
-        blocks = fact and _blocks(conn, fact, probe, params)
-        if blocks:
-            _build_in_blocks(conn, name, params, ranged, blocks, echo)
+        fact, ranged, probe = blocks or (None, None, None)
+        bounds = fact and _blocks(conn, fact, probe, params)
+        if bounds:
+            _build_in_blocks(conn, name, params, ranged, bounds, echo)
         else:
             create = f"CREATE TEMP TABLE IF NOT EXISTS {name} AS\n{sql}"
             echo(create, params)

@@ -1,10 +1,10 @@
 """Turning query results into natural-language statements and tables.
 
 A statement template is a format string plus bindings that pull values out of
-a result set (by column index), out of request inputs, or from fixed
-literals. Rendering is strict: a scalar binding against a result with the
-wrong number of rows is an error, not a best-effort guess, because the
-statements feed a language model that must not be handed ambiguous facts.
+a result set (by column index) or out of request inputs. Rendering is
+strict: a scalar binding against a result with the wrong number of rows is
+an error, not a best-effort guess, because the statements feed a language
+model that must not be handed ambiguous facts.
 """
 
 from __future__ import annotations
@@ -86,17 +86,14 @@ def format_value(value: Any, units: Optional[tuple[str, str]] = None,
 class Binding:
     """One placeholder's data source.
 
-    Exactly one of ``column`` / ``literal`` / ``input`` is set. ``word_map``
-    translates the formatted value (e.g. a 0/1 flag into "was not"/"was");
-    ``as_list`` collects the column across all rows into an "a, b, and c"
-    phrase.
+    Exactly one of ``column`` / ``input`` is set. ``word_map`` translates
+    the formatted value (e.g. a 0/1 flag into "was not"/"was"); ``as_list``
+    collects the column across all rows into an "a, b, and c" phrase.
     """
     column: Optional[int] = None
-    literal: Optional[str] = None
     input: Optional[str] = None
     word_map: Optional[dict[str, str]] = None
     as_list: bool = False
-    bare: bool = False  # suppress units even if the column has them
 
 
 @dataclass(frozen=True)
@@ -106,22 +103,17 @@ class StatementTemplate:
     null_statement: Optional[str] = None
 
 
-def binding_from_dict(doc: dict) -> Binding:
-    return Binding(
-        column=doc.get("column"),
-        literal=doc.get("literal"),
-        input=doc.get("input"),
-        word_map=doc.get("map"),
-        as_list=bool(doc.get("list", False)),
-        bare=bool(doc.get("bare", False)),
-    )
-
-
 def statement_template_from_dict(doc: dict) -> StatementTemplate:
     if "template" not in doc:
         raise AagError("statement template needs a 'template' string")
-    bindings = {name: binding_from_dict(b)
-                for name, b in doc.get("bindings", {}).items()}
+    bindings = {}
+    for name, b in doc.get("bindings", {}).items():
+        if ("column" in b) == ("input" in b):
+            raise AagError(f"statement binding {name!r} needs exactly one of "
+                           f"'column' and 'input'")
+        bindings[name] = Binding(column=b.get("column"), input=b.get("input"),
+                                 word_map=b.get("map"),
+                                 as_list=bool(b.get("list", False)))
     return StatementTemplate(template=doc["template"], bindings=bindings,
                              null_statement=doc.get("null_statement"))
 
@@ -162,16 +154,12 @@ def render_statement(template: StatementTemplate, result: ResultSet,
             f"statement expects exactly one result row, got {len(result.rows)}"
         )
     for name, b in template.bindings.items():
-        if b.literal is not None:
-            values[name] = b.literal
-            continue
         if b.input is not None:
             if b.input not in inputs:
                 raise AagError(f"statement binding {name!r} needs input {b.input!r}")
             values[name] = inputs[b.input]
             continue
-        col = _column(result, b.column)
-        units = None if b.bare else col.units
+        units = _column(result, b.column).units
         if b.as_list:
             if not result.rows:
                 raise AagError("cannot render a list from an empty result")

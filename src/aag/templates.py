@@ -1,12 +1,11 @@
 """Slotted plan templates and plan composition.
 
 A template is a plan skeleton whose arguments may be slot placeholders
-(``"{metric}"``). Slots come in three kinds:
+(``"{metric}"``). Slots come in two kinds, and every slot must be bound:
 
-* ``access-plan`` -- bound to a whole plan; the placeholder becomes a
-  reference to that plan's terminal step after composition.
-* ``filter`` -- same mechanics, but the bound plan's terminal must produce a
-  filter condition.
+* ``access-plan`` -- bound to a whole plan ending in a materialization; the
+  placeholder becomes a reference to that plan's terminal step after
+  composition.
 * ``literal`` -- bound to a value (a column name, or a request value's
   ``Param``), substituted in place as it is.
 
@@ -32,19 +31,17 @@ from .plans import (
     plan_from_dict,
 )
 from .statements import StatementTemplate, statement_template_from_dict
-from .types import AttributeType, TypeSet
+from .types import AttributeType
 
 TEMPLATE_FORMAT_VERSION = "sqr_template_v1"
 
-SLOT_KINDS = ("access-plan", "filter", "literal")
+SLOT_KINDS = ("access-plan", "literal")
 
 
 @dataclass(frozen=True)
 class SlotDef:
     name: str
     kind: str  # one of SLOT_KINDS
-    types: Optional[TypeSet] = None  # constraint on an access-plan's output
-    required: bool = True
 
 
 @dataclass
@@ -60,11 +57,7 @@ def _parse_slot(name: str, doc: dict) -> SlotDef:
     kind = doc.get("kind")
     if kind not in SLOT_KINDS:
         raise AagError(f"slot {name!r}: unknown kind {kind!r}")
-    types = None
-    if "types" in doc:
-        types = frozenset(AttributeType(t) for t in doc["types"])
-    return SlotDef(name=name, kind=kind, types=types,
-                   required=doc.get("required", True))
+    return SlotDef(name=name, kind=kind)
 
 
 def template_from_dict(doc: dict) -> PlanTemplate:
@@ -179,8 +172,8 @@ def fill_template(ring, template: PlanTemplate,
     Plan-valued bindings are deduplicated by equality, so two slots bound to
     equal plans share one copy in the composition.
     """
-    for name, slot in template.slots.items():
-        if slot.required and name not in bindings:
+    for name in template.slots:
+        if name not in bindings:
             raise AagError(f"slot {name!r} of template "
                            f"{template.id!r} is unbound")
     unknown = set(bindings) - set(template.slots)
@@ -189,10 +182,8 @@ def fill_template(ring, template: PlanTemplate,
 
     literals: dict[str, Any] = {}
     plan_slots: list[tuple[str, SqrPlan]] = []
-    for name in template.slots:  # declaration order, for determinism
-        if name not in bindings:
-            continue
-        slot = template.slots[name]
+    # declaration order, for determinism
+    for name, slot in template.slots.items():
         value = bindings[name]
         if slot.kind == "literal":
             if isinstance(value, SqrPlan):
@@ -217,23 +208,11 @@ def fill_template(ring, template: PlanTemplate,
     # reports as a slot problem rather than a type error deep in the plan
     part_info = [analyze_plan(ring, p) for p in parts]
     for name, idx in wiring.items():
-        slot = template.slots[name]
-        terminal = part_info[idx][parts[idx].result]
-        got = terminal.types
-        if slot.kind == "filter" and AttributeType.FILTER not in got:
+        got = part_info[idx][parts[idx].result].types
+        if AttributeType.ENTITY not in got:
             raise AagError(
-                f"slot {name!r} needs a filter-producing plan, got "
-                f"{sorted(t.value for t in got)}")
-        if slot.kind == "access-plan":
-            if AttributeType.ENTITY not in got:
-                raise AagError(
-                    f"slot {name!r} needs a plan ending in a materialization, "
-                    f"got {sorted(t.value for t in got)}")
-            if slot.types:
-                if not any(c.types & slot.types for _, c in terminal.columns):
-                    raise AagError(
-                        f"slot {name!r} needs a column of kind "
-                        f"{sorted(t.value for t in slot.types)}")
+                f"slot {name!r} needs a plan ending in a materialization, "
+                f"got {sorted(t.value for t in got)}")
 
     skeleton = _substitute_literals(template.plan, literals)
     composed = compose_plans(skeleton, parts, wiring)

@@ -68,9 +68,8 @@ def _ranking_facts(ring, db):
         "ranking_california")))
     blueprint = load_blueprint(request.report)
     facts = instantiate(ring, blueprint, request)
-    for f in facts:
-        f.result = run_plan(ring, f.plan, db)
-    return blueprint, render_facts(facts)
+    results = [run_plan(ring, f.plan, db) for f in facts]
+    return facts, results, render_facts(facts, results)
 
 
 def test_criterion_1_template_grid_matches_oracle(ring_db, dataset):
@@ -242,15 +241,14 @@ def test_criterion_6_golden_statements(ring_db, dataset):
     """Ranking statements match the checked-in goldens; rank, gap, and flag
     facts are cross-validated against the oracle."""
     ring, db = ring_db
-    _, facts = _ranking_facts(ring, db)
+    facts, results, texts = _ranking_facts(ring, db)
     golden = (GOLDENS / "ranking_california_statements.txt").read_text()
-    texts = "\n".join(f.text for f in facts) + "\n"
-    matches = texts == golden
+    matches = "\n".join(texts) + "\n" == golden
 
     cross = {}
-    for f in facts:
+    for f, result in zip(facts, results):
         if f.id in ("target_rank", "gap_to_highest", "above_average"):
-            cross[f.id] = _results_agree(f.result,
+            cross[f.id] = _results_agree(result,
                                          oracle_eval(ring, f.plan, dataset))
     _check(6, matches and len(cross) == 3 and all(cross.values()),
            f"golden match: {matches}, oracle cross-validation: {cross}")
@@ -259,14 +257,14 @@ def test_criterion_6_golden_statements(ring_db, dataset):
 def test_criterion_7_tables_and_statements_agree(ring_db):
     """Every value a statement cites appears in the fact's rendered table."""
     ring, db = ring_db
-    _, facts = _ranking_facts(ring, db)
+    facts, results, _ = _ranking_facts(ring, db)
     missing = []
-    for f in facts:
-        table = render_table(f.result)
+    for f, result in zip(facts, results):
+        table = render_table(result)
         for name, b in f.statement.bindings.items():
             if b.column is None or b.word_map is not None:
                 continue
-            rows = f.result.rows if b.as_list else f.result.rows[:1]
+            rows = result.rows if b.as_list else result.rows[:1]
             for row in rows:
                 cell = format_value(row[b.column], None)
                 if f"| {cell} |" not in table and f"| {cell} " not in table:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aag import blueprints, compiler
+from aag import blueprints
 from aag.blueprints import (
     build_prompt,
     builtin_templates,
@@ -23,26 +23,21 @@ from aag.types import DatetimeValue
 from conftest import REPO, load_fixture_request
 
 
-@pytest.fixture(scope="module")
-def templates():
-    return builtin_templates()
-
-
 def _request(name):
     return parse_request(json.loads(load_fixture_request(name)))
 
 
-def _facts(ring, name, templates):
+def _facts(ring, name):
     request = _request(name)
     return load_blueprint(request.report), \
-        instantiate(ring, load_blueprint(request.report), request, templates)
+        instantiate(ring, load_blueprint(request.report), request)
 
 
-def _rendered(ring, db, name, templates):
-    blueprint, facts = _facts(ring, name, templates)
-    for fact in facts:
-        fact.result = run_plan(ring, fact.plan, db)
-    return blueprint, render_facts(facts)
+def _rendered(ring, db, name):
+    """The blueprint of a fixture request and its facts' texts."""
+    blueprint, facts = _facts(ring, name)
+    return blueprint, render_facts(
+        facts, [run_plan(ring, f.plan, db) for f in facts])
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +87,17 @@ def test_time_over_time_requests_need_a_full_period():
         parse_request(doc)
 
 
+@pytest.mark.parametrize("op", ["average", "and", "return", "contains"])
+def test_parse_request_rejects_filter_ops_that_are_not_comparisons(op):
+    doc = json.loads(load_fixture_request("ranking_california"))
+    doc["filters"] = [{"attribute": "year", "op": op, "value": 2020}]
+    with pytest.raises(AagError, match=(
+            r"^request 'filters' must be a list of objects with an "
+            r"'attribute', a 'value' and an 'op' of exact, greater_than, "
+            r"greater_than_eq, less_than, less_than_eq$")):
+        parse_request(doc)
+
+
 def test_parse_request_rejects_invalid_json():
     with pytest.raises(AagError, match=r"^invalid JSON: Expecting property name"):
         parse_request("{not json")
@@ -106,16 +112,15 @@ def test_parse_request_rejects_invalid_json():
     ("benchmark_california", 6),
     ("time_over_time_california", 9),
 ])
-def test_requirement_counts(ring, templates, name, count):
-    _, facts = _facts(ring, name, templates)
+def test_requirement_counts(ring, name, count):
+    _, facts = _facts(ring, name)
     assert len(facts) == count
     assert len({f.id for f in facts}) == count
 
 
-def test_request_values_enter_plans_as_params(ring, templates):
+def test_request_values_enter_plans_as_params(ring):
     request = _request("time_over_time_california")
-    for fact in instantiate(ring, load_blueprint(request.report), request,
-                            templates):
+    for fact in instantiate(ring, load_blueprint(request.report), request):
         args = [a for s in fact.plan.steps.values() for a in s.args]
         params = {a.name: a.value for a in args if isinstance(a, Param)}
         assert params and params.items() <= request.literals().items()
@@ -157,10 +162,10 @@ def test_unknown_report_type():
         load_blueprint("gossip")
 
 
-def test_instantiation_is_deterministic(ring, templates):
+def test_instantiation_is_deterministic(ring):
     runs = []
     for _ in range(10):
-        _, facts = _facts(ring, "time_over_time_california", templates)
+        _, facts = _facts(ring, "time_over_time_california")
         runs.append("\n".join(
             f"{f.id}\t{json.dumps(plan_to_dict(f.plan))}" for f in facts))
     assert len(set(runs)) == 1
@@ -172,43 +177,40 @@ def test_package_data_is_parsed_once_and_never_mutated(ring):
     templates = copy.deepcopy(builtin_templates())
     for name in ("ranking_california", "benchmark_california",
                  "time_over_time_california"):
-        first, second = (_facts(ring, name, None)[1] for _ in range(2))
+        first, second = (_facts(ring, name)[1] for _ in range(2))
         assert [plan_to_dict(f.plan) for f in first] == \
             [plan_to_dict(f.plan) for f in second]
     assert builtin_templates() == templates
 
 
-def test_all_facts_render(ring, ring_db, templates):
+def test_all_facts_render(ring_db):
     ring, db = ring_db
     for name in ("ranking_california", "benchmark_california",
                  "time_over_time_california"):
-        _, facts = _rendered(ring, db, name, templates)
-        for f in facts:
-            assert f.text and f.text.endswith(".")
+        _, texts = _rendered(ring, db, name)
+        for text in texts:
+            assert text and text.endswith(".")
 
 
-def test_ranking_statements(ring_db, templates):
+def test_ranking_statements(ring_db):
     ring, db = ring_db
-    _, facts = _rendered(ring, db, "ranking_california", templates)
-    texts = [f.text for f in facts]
+    _, texts = _rendered(ring, db, "ranking_california")
     assert texts[0] == \
         "The average wildfire size for California was 200.0 acres."
     assert "ranked number 1" in texts[2]
     assert "California and Nevada" in texts[3]
 
 
-def test_benchmark_statements(ring_db, templates):
+def test_benchmark_statements(ring_db):
     ring, db = ring_db
-    _, facts = _rendered(ring, db, "benchmark_california", templates)
-    joined = "\n".join(f.text for f in facts)
+    joined = "\n".join(_rendered(ring, db, "benchmark_california")[1])
     assert "180" in joined
     assert "median" in joined
 
 
-def test_time_over_time_statements(ring_db, templates):
+def test_time_over_time_statements(ring_db):
     ring, db = ring_db
-    _, facts = _rendered(ring, db, "time_over_time_california", templates)
-    joined = "\n".join(f.text for f in facts)
+    joined = "\n".join(_rendered(ring, db, "time_over_time_california")[1])
     assert "-50.0%" in joined  # California 300 -> 150
     assert "-60.0%" in joined  # cohort average 250 -> 100
     assert "outpaced" in joined
@@ -218,20 +220,20 @@ def test_time_over_time_statements(ring_db, templates):
 # prompts
 
 
-def test_build_prompt_numbers_facts(ring_db, templates):
+def test_build_prompt_numbers_facts(ring_db):
     ring, db = ring_db
-    blueprint, facts = _rendered(ring, db, "ranking_california", templates)
-    prompt = build_prompt(blueprint, facts)
+    blueprint, texts = _rendered(ring, db, "ranking_california")
+    prompt = build_prompt(blueprint, texts)
     assert "Use only the facts provided." in prompt
     assert "Facts:\n" in prompt
-    for i, fact in enumerate(facts, start=1):
-        assert f"{i}. {fact.text}" in prompt
+    for i, text in enumerate(texts, start=1):
+        assert f"{i}. {text}" in prompt
 
 
-def test_build_prompt_requires_facts(ring, templates):
-    blueprint, facts = _facts(ring, "ranking_california", templates)
+def test_build_prompt_requires_facts():
+    blueprint = load_blueprint("ranking")
     with pytest.raises(AagError, match=r"^cannot build a prompt from zero facts$"):
-        build_prompt(blueprint, facts)  # nothing rendered yet
+        build_prompt(blueprint, [])
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +296,8 @@ def _benchmark_states() -> tuple:
     return datagen.STATES
 
 
-def test_a_report_binds_each_table_its_facts_share_once(ring, monkeypatch):
+def test_bound_facts_equal_their_shapes_bound(ring, monkeypatch):
     monkeypatch.setattr(blueprints, "_compiled", type(blueprints._compiled)())
-    names, table_name = [], compiler._table_name
-    monkeypatch.setattr(compiler, "_table_name",
-                        lambda *args: names.append(table_name(*args))
-                        or names[-1])
     states = _benchmark_states()
     assert len(states) == 50
     reports = 0
@@ -314,12 +312,7 @@ def test_a_report_binds_each_table_its_facts_share_once(ring, monkeypatch):
                         doc, aggregation=aggregation, filters=filters,
                         target=target))
                     blueprint = load_blueprint(request.report)
-                    compile_facts(ring, ring.name, blueprint, request)
-                    names.clear()  # the shape is compiled: count binds only
                     got = compile_facts(ring, ring.name, blueprint, request)
-                    tables = {t for f in got
-                              for t, _, _ in f.compiled.materializations}
-                    assert sorted(names) == sorted(tables)
                     values = request.literals()
                     assert [f.compiled for f in got] == [
                         f.compiled.shape.bind(values) for f in got]

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import requests
 
 from aag import blueprints, cli, compiler, plans, templates
 
-from conftest import FIXTURES, REPO, RING_PATH, invoke
+from conftest import FIXTURES, GOLDENS, REPO, RING_PATH, invoke
 
 PLAN = str(FIXTURES / "plans" / "average_size_by_state_2020.json")
 RANKING = str(FIXTURES / "requests" / "ranking_california.json")
@@ -595,6 +596,55 @@ def test_a_repeated_report_writes_the_bytes_of_the_first(
         assert cli._bound_facts.cache_info().hits == (mode != "plans")
     assert runs[0][3] + b"\n" == \
         (REPO / "tests" / "goldens" / f"{name}_statements.txt").read_bytes()
+
+
+def test_threads_report_one_memoized_request_alike(cli_ring_path, tmp_path):
+    """Four threads run one memoized request 50 times each: every call
+    writes the bytes of a single run, and the memoized facts stay as they
+    were."""
+    args = ["report", "generate", "--ring", str(cli_ring_path), "--request",
+            RANKING]
+    outs = [tmp_path / f"{t}.txt" for t in range(4)]
+    for out in outs:  # memoizes the request and each thread's command line
+        assert _run(*args, "--out", str(out)).exit_code == 0
+    blueprint, facts = cli._bound_facts(
+        str(cli_ring_path), cli_ring_path.read_text(),
+        Path(RANKING).read_text())
+    before = copy.deepcopy((blueprint, facts,
+                            [f.compiled.shape for f in facts]))
+    want = [(GOLDENS / f"ranking_california_{kind}.txt").read_bytes()
+            for kind in ("report", "statements")]
+    start = threading.Barrier(4)
+    runs, wrong = [], []
+
+    def reports(out: Path) -> None:
+        start.wait(timeout=10)
+        for _ in range(50):
+            try:
+                cli.main([*args, "--out", str(out)])
+                got = [out.read_bytes() + b"\n",
+                       Path(f"{out}.facts").read_bytes() + b"\n"]
+            except SystemExit as e:
+                got = e
+            runs.append(1)
+            if got != want:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reports, args=(out,))
+                   for out in outs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(runs) == 200 and wrong == []
+    assert (blueprint, facts, [f.compiled.shape for f in facts]) == before
+    assert cli._bound_facts.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("name, change, fact", [

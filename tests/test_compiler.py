@@ -315,13 +315,12 @@ def test_bad_database_raises_db_error(ring, tmp_path):
 
 def test_all_blueprint_plans_match_oracle(ring_db, dataset):
     ring, db = ring_db
-    templates = builtin_templates()
     total = 0
     for name in ("ranking_california", "benchmark_california",
                  "time_over_time_california"):
         request = parse_request(json.loads(load_fixture_request(name)))
         blueprint = load_blueprint(request.report)
-        for fact in instantiate(ring, blueprint, request, templates):
+        for fact in instantiate(ring, blueprint, request):
             assert_matches_oracle(ring, db, dataset, fact.plan)
             total += 1
     assert total == 7 + 6 + 9
@@ -337,7 +336,7 @@ def _fixture_facts(ring, name):
 
 
 def _table_names(ring, plan):
-    return [name for name, _, _ in compile_plan(ring, plan).materializations]
+    return [name for name, *_ in compile_plan(ring, plan).materializations]
 
 
 def _ranking_members(ring, filters=None):
@@ -359,11 +358,11 @@ def test_members_table_is_named_by_content_not_labels(ring):
     # composition prefixes the members' labels differently in each plan
     assert set(value.steps) != set(rank.steps)
     assert _table_names(ring, value) == _table_names(ring, rank)
-    [(partial, _, _), (name, sql, params)] = compile_plan(
+    [(partial, _, _, _), (name, sql, params, blocks)] = compile_plan(
         ring, value).materializations
     assert re.fullmatch(r"p_[0-9a-f]{16}", partial)
     assert re.fullmatch(r"m_[0-9a-f]{16}", name)
-    assert sql.startswith("SELECT") and params == []
+    assert sql.startswith("SELECT") and params == [] and blocks is None
 
 
 def test_table_names_differ_by_period(ring):
@@ -409,7 +408,7 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
     compiled = compile_plan(ring, facts[0].plan)
     empty = tmp_path / "empty.db"
     sqlite3.connect(empty).close()
-    (name, _, _), _ = compiled.materializations
+    (name, *_), _ = compiled.materializations
     with closing(connect(empty)) as conn, \
             pytest.raises(DbError, match="no such table") as err:
         execute(compiled, conn)
@@ -422,8 +421,8 @@ def test_failed_materialization_names_its_statement(ring_db, tmp_path):
 def _grouped_partials(compiled) -> list[str]:
     """The partial tables of ``compiled`` that group the fires by their join
     column and that a statement joins under the fires' name."""
-    texts = [sql for _, sql, _ in compiled.materializations] + [compiled.sql]
-    return [name for name, sql, _ in compiled.materializations
+    texts = [sql for _, sql, *_ in compiled.materializations] + [compiled.sql]
+    return [name for name, sql, _, _ in compiled.materializations
             if sql.startswith('SELECT "wildfires"."state_id" AS "state_id", ')
             and sql.endswith('\nGROUP BY "wildfires"."state_id"')
             and any(f'FROM {name} AS "wildfires", "states"\n' in t
@@ -433,7 +432,8 @@ def _grouped_partials(compiled) -> list[str]:
 def _preaggregated(compiled) -> list[str]:
     """The grouped partial tables of ``compiled`` built in rowid blocks
     when the fires span enough of them."""
-    return [n for n in _grouped_partials(compiled) if n in compiled.ranged]
+    blocks = {name for name, _, _, b in compiled.materializations if b}
+    return [n for n in _grouped_partials(compiled) if n in blocks]
 
 
 _FIXTURE_REQUESTS = ("ranking_california", "benchmark_california",
@@ -536,7 +536,7 @@ def test_decomposable_members_are_preaggregated(ring, aggregation):
     compiled = _members(ring, aggregation, [
         {"attribute": "year", "op": "exact", "value": 2020}])
     [name] = _preaggregated(compiled)
-    [(_, partial, params)] = compiled.materializations
+    [(_, partial, params, _)] = compiled.materializations
     # the fact-only filter moves inside; the join condition stays outside
     assert '\nWHERE ("wildfires"."year" = ?1)\nGROUP BY' in partial
     assert params == [2020] and compiled.params == []
@@ -602,8 +602,8 @@ def test_holistic_regions_group_by_the_join_key_first(
         plan = _by_state(op, "|B|", **filter_steps)
         compiled = compile_plan(ring, plan)
         # a holistic partial cannot be combined across blocks: one scan
-        [name] = _grouped_partials(compiled)
-        assert name not in compiled.ranged
+        assert len(_grouped_partials(compiled)) == 1
+        assert not _preaggregated(compiled)
         assert "CASE WHEN COUNT(*) = 1 THEN MIN(" in compiled.sql
         assert_matches_oracle(ring, db, dataset, plan)
         # Nevada's two ids take the fallback, Utah has no fires, Idaho's
@@ -616,8 +616,8 @@ def test_holistic_members_read_partials_grouped_by_the_join_key(ring):
         for filters in ([], [{"attribute": "year", "op": "exact",
                               "value": 2020}]):
             compiled = _members(ring, op, filters)
-            [name] = _grouped_partials(compiled)
-            assert name not in compiled.ranged
+            assert len(_grouped_partials(compiled)) == 1
+            assert not _preaggregated(compiled)
 
 
 def _cohorts_db(path, names, fires):
@@ -900,8 +900,8 @@ def test_a_partial_filtered_by_a_request_value_reads_its_bound_tables(
     plan.steps["WF"] = SqrStep("WF", "exact", (StepRef("Y"),
                                                Param("start", 2020)))
     compiled = compile_plan(ring, plan)
-    [(_, block, probe)] = compiled.ranged.values()
-    [mat] = [name for name, _, _ in compiled.materializations
+    [(_, block, probe)] = [b for *_, b in compiled.materializations if b]
+    [mat] = [name for name, *_ in compiled.materializations
              if name.startswith("m_")]
     assert mat in block and mat in probe
     _assert_agrees(run_plan(ring, plan, db), oracle_eval(ring, plan, dataset))
@@ -997,7 +997,7 @@ def test_failed_range_names_its_statement_and_leaves_nothing_open(
     with closing(connect(db)) as conn, \
             pytest.raises(DbError, match="no such column") as err:
         execute(compiled, conn)
-    (name, _, _), _ = compiled.materializations
+    (name, *_), _ = compiled.materializations
     assert err.value.sql.startswith(f"CREATE TEMP TABLE {name} AS\n")
     assert "rowid BETWEEN" in err.value.sql
     connections, closed = opened

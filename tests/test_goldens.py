@@ -1,7 +1,8 @@
 """Every CLI output of the fixture requests and plans, byte for byte against
 the files in ``tests/goldens``: each ``report generate --mode``, the
-``.facts`` sidecar of ``--out``, the ``plan run`` table, and the statements
-of the ranking request with each holistic aggregation a report takes."""
+``.facts`` sidecar of ``--out``, the ``plan run`` table, the statements
+of the ranking request with each holistic aggregation a report takes, and
+the SQL that ``--mode tables --verbose`` prints for each of these requests."""
 
 import pytest
 from conftest import FIXTURES, GOLDENS, invoke
@@ -45,3 +46,24 @@ def test_output_matches_golden(cli_ring_path, tmp_path, golden, args):
         assert out.read_bytes() + b"\n" == want
         assert (tmp_path / "report.txt.facts").read_bytes() + b"\n" == \
             (GOLDENS / statements).read_bytes()
+
+
+SQL_CASES = [(f"{name}_sql.txt", FIXTURES / "requests" / f"{name}.json")
+             for name in REQUESTS] + [
+    (f"ranking_california_{agg}_sql.txt",
+     FIXTURES / "aggregations" / f"ranking_california_{agg}.json")
+    for agg in ("count_unique", "median")]
+
+
+@pytest.mark.parametrize("golden, request_path", SQL_CASES,
+                         ids=[g for g, _ in SQL_CASES])
+def test_verbose_sql_matches_golden(cli_ring_path, drop_reader, golden,
+                                    request_path):
+    """On a dropped reader every TEMP table is built, so every statement
+    and its parameters print."""
+    drop_reader()
+    result = invoke(["report", "generate", "--ring", str(cli_ring_path),
+                     "--request", str(request_path), "--mode", "tables",
+                     "--verbose"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.encode() == (GOLDENS / golden).read_bytes()

@@ -11,6 +11,7 @@ from aag.statements import (
     join_phrase,
     render_statement,
     render_table,
+    statement_template_from_dict,
 )
 from aag.types import ColumnMeta, DatetimeValue, ResultSet
 from aag.types import AttributeType as T
@@ -151,22 +152,22 @@ def test_list_binding_joins_rows():
 
 
 def test_input_and_literal_bindings():
-    t = StatementTemplate("{who} saw {n} {what}.", {
+    t = StatementTemplate("{who} saw {n} fires.", {
         "who": Binding(input="viewer"),
         "n": Binding(column=0),
-        "what": Binding(literal="fires"),
     })
     rs = _rs([_col("n")], [(3,)])
     assert render_statement(t, rs, {"viewer": "Pat"}) == "Pat saw 3 fires."
     with pytest.raises(AagError, match=r"^statement binding 'who' needs "
                                       r"input 'viewer'$"):
         render_statement(t, rs)
-
-
-def test_bare_binding_suppresses_units():
-    t = StatementTemplate("{v}", {"v": Binding(column=0, bare=True)})
-    rs = _rs([_col("total", ("acre", "acres"))], [(5.0,)])
-    assert render_statement(t, rs) == "5.0"
+    # a binding reads a column or an input; fixed text goes in the template
+    for doc in ({"literal": "fires"}, {"column": 0, "input": "viewer"}):
+        with pytest.raises(AagError, match=r"^statement binding 'what' needs "
+                                          r"exactly one of 'column' and "
+                                          r"'input'$"):
+            statement_template_from_dict({"template": "{what}",
+                                          "bindings": {"what": doc}})
 
 
 def test_unbound_placeholder_is_an_error():

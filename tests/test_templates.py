@@ -44,22 +44,6 @@ def _metric_value_bindings():
             "metric_col": "average size", "target": "California"}
 
 
-FILTER_SLOT_TEMPLATE = {
-    "version": "sqr_template_v1",
-    "id": "filtered_count",
-    "slots": {
-        "members": {"kind": "access-plan"},
-        "cond": {"kind": "filter"},
-    },
-    "steps": {
-        "V": {"op": "retrieve_attribute", "args": ["{members}", "average size"]},
-        "C": {"op": "count", "args": ["|V|"]},
-        "R": {"op": "return", "args": ["|C|", "{cond}"]},
-    },
-    "result": "R",
-}
-
-
 def test_builtin_templates_load(templates):
     assert len(templates) == 16
     for t in templates.values():
@@ -87,14 +71,16 @@ def test_template_rejects_bad_version():
 
 
 def test_template_rejects_bad_slot_kind():
-    with pytest.raises(AagError, match=r"^slot 'x': unknown kind 'mystery'$"):
-        template_from_dict({
-            "version": "sqr_template_v1",
-            "id": "t",
-            "slots": {"x": {"kind": "mystery"}},
-            "steps": {"R": {"op": "return", "args": ["{x}"]}},
-            "result": "R",
-        })
+    for kind in ("mystery", "filter"):  # a filter is bound as a plan part
+        with pytest.raises(AagError,
+                           match=rf"^slot 'x': unknown kind '{kind}'$"):
+            template_from_dict({
+                "version": "sqr_template_v1",
+                "id": "t",
+                "slots": {"x": {"kind": kind}},
+                "steps": {"R": {"op": "return", "args": ["{x}"]}},
+                "result": "R",
+            })
 
 
 def test_fill_requires_all_slots(ring, templates):
@@ -126,69 +112,12 @@ def test_fill_rejects_literal_for_plan_slot(ring, templates):
         fill_template(ring, templates["metric_value"], bindings)
 
 
-def test_fill_rejects_non_filter_plan_in_filter_slot(ring):
-    t = template_from_dict(FILTER_SLOT_TEMPLATE)
-    with pytest.raises(AagError, match=r"^slot 'cond' needs a filter-producing "
-                                      r"plan, got \['entity'\]$"):
-        fill_template(ring, t, {"members": _members_plan(),
-                                "cond": _members_plan()})
-
-
-def test_fill_accepts_filter_plan_in_filter_slot(ring):
-    t = template_from_dict(FILTER_SLOT_TEMPLATE)
-    # the filter compares a column of the same materialization
-    cond = plan_from_dict({
-        "steps": {
-            "V": {"op": "retrieve_attribute", "args": ["{members}",
-                                                       "average size"]},
-            "F": {"op": "greater_than", "args": ["|V|", 100]},
-        },
-        "result": "F",
-    }, allow_slots=True)
-    # wire the filter's {members} to the shared member plan first
-    members = _members_plan()
-    filled = fill_template(
-        ring, t, {"members": members,
-                  "cond": compose_plans(cond, [members], {"members": 0})})
-    info = analyze_plan(ring, filled)
-    assert T.ENTITY in info[filled.result].types
-
-
 def test_fill_rejects_filter_plan_in_access_slot(ring, templates):
     with pytest.raises(AagError, match=r"^slot 'members' needs a plan ending "
                                       r"in a materialization, got \['filter'\]$"):
         fill_template(ring, templates["cohort_count"],
                       {"members": _filter_plan(),
                        "metric_col": "average size"})
-
-
-def test_slot_column_type_constraint(ring):
-    doc = {
-        "version": "sqr_template_v1",
-        "id": "typed",
-        "slots": {"members": {"kind": "access-plan",
-                              "types": ["arithmetic"]}},
-        "steps": {
-            "V": {"op": "retrieve_attribute", "args": ["{members}", "name"]},
-            "R": {"op": "return", "args": ["|V|"]},
-        },
-        "result": "R",
-    }
-    t = template_from_dict(doc)
-    names_only = plan_from_dict({
-        "steps": {
-            "A": {"op": "retrieve_entity", "args": ["State"]},
-            "B": {"op": "retrieve_attribute", "args": ["|A|", "name"]},
-            "R": {"op": "return", "args": ["|B|"]},
-        },
-        "result": "R",
-    })
-    with pytest.raises(AagError, match=r"^slot 'members' needs a column of kind "
-                                      r"\['arithmetic'\]$"):
-        fill_template(ring, t, {"members": names_only})
-    # a member plan carrying an arithmetic column satisfies the constraint
-    doc["steps"]["V"]["args"] = ["{members}", "average size"]
-    fill_template(ring, template_from_dict(doc), {"members": _members_plan()})
 
 
 def test_filled_plan_typechecks_and_is_prefixed(ring, templates):

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import threading
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from . import compiler, registry
-from .errors import AagError
+from .errors import AagError, json_input
 from .plans import (Param, SqrPlan, SqrStep, StepRef, parse_literal,
                     serialize_arg)
 from .ring import Ring
@@ -41,8 +40,7 @@ PROMPT_INSTRUCTIONS = (
 # requests
 
 
-@dataclass
-class ReportRequest:
+class ReportRequest(NamedTuple):
     report: str
     entity: str
     metric: str
@@ -50,7 +48,7 @@ class ReportRequest:
     cohort_entity: str
     cohort_key: str
     target: Any
-    filters: list[dict] = field(default_factory=list)
+    filters: list[dict]
     top_n: int = 3
     benchmark: Any = None
     period_attribute: Optional[str] = None
@@ -67,10 +65,10 @@ class ReportRequest:
     def mapped(self, fn) -> ReportRequest:
         """This request with each value ``v`` that is given, named ``k``, as
         ``fn(k, v)``."""
-        return replace(self, **{k: fn(k, v) for k in self._VALUES
+        return self._replace(**{k: fn(k, v) for k in self._VALUES
                                 if (v := getattr(self, k)) is not None},
-                       filters=[dict(f, value=fn(f"filter{i}", f["value"]))
-                                for i, f in enumerate(self.filters)])
+                             filters=[dict(f, value=fn(f"filter{i}", f["value"]))
+                                      for i, f in enumerate(self.filters)])
 
     def shape(self) -> tuple:
         """What the compiled queries depend on besides the ring: the request
@@ -83,10 +81,8 @@ class ReportRequest:
 
 def parse_request(doc: Union[str, dict]) -> ReportRequest:
     if isinstance(doc, str):
-        try:
+        with json_input():
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise AagError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise AagError("request document must be a JSON object")
     if doc.get("version") != REQUEST_FORMAT_VERSION:
@@ -148,16 +144,14 @@ def parse_request(doc: Union[str, dict]) -> ReportRequest:
 # blueprints
 
 
-@dataclass
-class Requirement:
+class Requirement(NamedTuple):
     id: str
     template: str
     bindings: dict[str, dict]
     statement_inputs: dict[str, dict]
 
 
-@dataclass
-class Blueprint:
+class Blueprint(NamedTuple):
     id: str
     description: str
     requirements: list[Requirement]
@@ -234,8 +228,7 @@ def build_member_plan(ring: Ring, request: ReportRequest,
 # instantiation
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     id: str
     statement: StatementTemplate
     statement_inputs: dict[str, str]

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import blueprints as bp
 from . import compiler, llm
-from .errors import AagError
-from .plans import load_plan, plan_to_dict
+from .errors import AagError, json_input
+from .plans import parse_plan, plan_to_dict
 from .ring import derive_attributes, load_ring, validate_ring
 from .statements import render_table
 
@@ -48,6 +48,12 @@ def _emit(text: str, out: str | None) -> None:
     finally:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _text(path: str) -> str:
+    """The text of the JSON document at ``path``."""
+    with json_input(path):
+        return Path(path).read_text("utf-8")
 
 
 def _echo_sql(sql: str, params: list) -> None:
@@ -84,7 +90,7 @@ def _parsed(argv: tuple[str, ...]) -> argparse.Namespace:
 
 def _ring_validate(ns: argparse.Namespace) -> None:
     """Validate a ring document; exit 1 if it has violations."""
-    r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
+    r = _load_ring_checked(ns.ring, _text(ns.ring))
     print(f"ok: ring {r.name!r} is valid")
     if ns.verbose:
         for e in r.entities:
@@ -97,8 +103,8 @@ def _ring_validate(ns: argparse.Namespace) -> None:
 
 def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
-    r = _load_ring_checked(ns.ring, Path(ns.ring).read_text())
-    compiled = compiler.compile_plan(r, load_plan(ns.plan))
+    r = _load_ring_checked(ns.ring, _text(ns.ring))
+    compiled = compiler.compile_plan(r, parse_plan(_text(ns.plan)))
     with compiler.reader(r.db_path(Path(ns.ring).parent)) as (conn, tables):
         result = compiler.execute(compiled, conn,
                                   _echo_sql if ns.verbose else None, tables)
@@ -107,9 +113,9 @@ def _plan_run(ns: argparse.Namespace) -> None:
 
 def _report_generate(ns: argparse.Namespace) -> None:
     """Run a report request end to end (or stop at an intermediate stage)."""
-    ring_text = Path(ns.ring).read_text()
+    ring_text = _text(ns.ring)
     r = _load_ring_checked(ns.ring, ring_text)
-    request_text = Path(ns.request).read_text()
+    request_text = _text(ns.request)
 
     if ns.mode == "plans":
         request = bp.parse_request(request_text)

@@ -58,39 +58,43 @@ import os
 import sqlite3
 import threading
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .constants import PERCENT_CHANGE_SCALE, STRING_AGG_SEPARATOR
 from .errors import AagError, DbError
 from .plans import Param, SqrPlan, StepRef, analyze_plan
 from .registry import REGISTRY
 from .ring import Ring
-from .types import ColumnMeta, DatetimeValue, ResultSet
+from .types import ColumnMeta, DatetimeValue, Record, ResultSet
 
 
-@dataclass(frozen=True)
-class Subplan:
+class Subplan(NamedTuple):
     name: str          # m_<hash>, CTE name (sp1, ...) or "main"
     kind: str          # "materialization" | "window" | "group" | "terminal"
 
 
-@dataclass
-class CompiledQuery:
-    sql: str           # the terminal statement
-    params: list
-    output_columns: list[ColumnMeta]
-    subplans: list[Subplan] = field(default_factory=list)
-    # (name, sql, params, blocks) of each TEMP table, upstream first; a
-    # partial that may be built in rowid blocks has ``blocks``: its fact
-    # table, its SQL restricted to rowids ?N+1..?N+2, and the count of the
-    # fact rows its filter keeps there, up to ?N+3, or None when it has no
-    # filter; any other table has None
-    materializations: list = field(default_factory=list)
-    # the query as compiled, with the ``Param`` slots that ``bind`` fills
-    shape: Optional[CompiledQuery] = field(default=None, compare=False,
-                                           repr=False)
+class CompiledQuery(Record):
+    """A plan's SQL: ``sql`` and its ``params`` are the terminal statement.
+    ``materializations`` holds (name, sql, params, blocks) of each TEMP
+    table, upstream first; a partial that may be built in rowid blocks has
+    ``blocks``: its fact table, its SQL restricted to rowids ?N+1..?N+2,
+    and the count of the fact rows its filter keeps there, up to ?N+3, or
+    None when it has no filter; any other table has None. ``shape`` is the
+    query as compiled, with the ``Param`` slots that ``bind`` fills; it is
+    neither shown nor compared."""
+
+    _fields = ("sql", "params", "output_columns", "subplans",
+               "materializations")
+    __slots__ = _fields + ("shape",)
+
+    def __init__(self, sql: str, params: list,
+                 output_columns: list[ColumnMeta], subplans: list[Subplan],
+                 materializations: list,
+                 shape: Optional[CompiledQuery] = None):
+        self.sql, self.params, self.output_columns = sql, params, output_columns
+        self.subplans, self.materializations = subplans, materializations
+        self.shape = shape
 
     def bind(self, values: Optional[dict] = None) -> CompiledQuery:
         """This query's shape with its ``Param`` slots filled from ``values``
@@ -124,8 +128,7 @@ class CompiledQuery:
             mats, shape)
 
 
-@dataclass
-class JoinResolution:
+class JoinResolution(NamedTuple):
     tables: list[str]        # table names, in FROM order
     conditions: list[tuple[str, str, str, str]]  # (a, x, b, y): a.x = b.y
     columns: dict[str, list[str]]  # table -> its columns the conditions use

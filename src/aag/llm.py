@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AagError, HttpError
+from .types import Record
 
 ECHO_MARKER = "Facts:\n"
 
@@ -31,24 +31,26 @@ PROFILES = {
 }
 
 
-@dataclass
-class GenerationConfig:
-    backend: str = "echo"          # "echo" | "remote"
-    model: str = "default"
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_tokens: int = 1024
-    base_url: str = "http://localhost:8000/v1"
-    timeout: float = 120.0
-    retries: int = 3
+class GenerationConfig(Record):
+    """Sampling and endpoint settings, checked when built."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.temperature <= 2.0):
-            raise AagError(f"temperature must be in [0, 2], got {self.temperature}")
-        if not (0.0 < self.top_p <= 1.0):
-            raise AagError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.backend not in ("echo", "remote"):
-            raise AagError(f"unknown backend {self.backend!r}")
+    __slots__ = _fields = ("backend", "model", "temperature", "top_p",
+                           "max_tokens", "base_url", "timeout", "retries")
+
+    def __init__(self, backend: str = "echo",  # "echo" | "remote"
+                 model: str = "default", temperature: float = 0.0,
+                 top_p: float = 1.0, max_tokens: int = 1024,
+                 base_url: str = "http://localhost:8000/v1",
+                 timeout: float = 120.0, retries: int = 3):
+        if not (0.0 <= temperature <= 2.0):
+            raise AagError(f"temperature must be in [0, 2], got {temperature}")
+        if not (0.0 < top_p <= 1.0):
+            raise AagError(f"top_p must be in (0, 1], got {top_p}")
+        if backend not in ("echo", "remote"):
+            raise AagError(f"unknown backend {backend!r}")
+        self.backend, self.model, self.max_tokens = backend, model, max_tokens
+        self.temperature, self.top_p = temperature, top_p
+        self.base_url, self.timeout, self.retries = base_url, timeout, retries
 
 
 def config_for_profile(profile: str, backend: str = "echo",

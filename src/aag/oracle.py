@@ -13,9 +13,8 @@ import csv
 import math
 import operator
 import statistics
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import constants
 from .errors import AagError
@@ -24,13 +23,12 @@ from .ring import Ring
 from .types import DatetimeValue, ResultSet
 
 
-@dataclass
-class MemoryDataset:
-    tables: dict[str, list[dict]] = field(default_factory=dict)
+class MemoryDataset(NamedTuple):
+    tables: dict[str, list[dict]]
 
     @classmethod
     def from_csv(cls, directory: Union[str, Path]) -> "MemoryDataset":
-        ds = cls()
+        ds = cls({})
         for path in sorted(Path(directory).glob("*.csv")):
             with open(path, newline="") as fh:
                 rows = [dict(r) for r in csv.DictReader(fh)]

@@ -16,48 +16,57 @@ steps, the column schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Union
+import math
+from typing import Any, NamedTuple, Union
 
 from . import registry
-from .errors import AagError
-from .types import AttributeType as T, ColumnMeta, DatetimeValue, TypeSet, typeset
+from .errors import AagError, json_input
+from .types import (AttributeType as T, ColumnMeta, DatetimeValue, Record,
+                    TypeSet, typeset)
 
 PLAN_FORMAT_VERSION = "sqr_plan_v1"
 
 
-@dataclass(frozen=True)
-class StepRef:
-    label: str
+class StepRef(Record):
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
 
 
-@dataclass(frozen=True)
-class SlotArg:
-    name: str
+class SlotArg(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Param:
-    """A request value: a parsed literal named for binding."""
-    name: str = field(compare=False)
-    value: Any
+class Param(Record):
+    """A request value: a parsed literal named for binding, equal to one of
+    the same value whatever its name."""
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, name: str, value: Any):
+        self.name, self.value = name, value
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
 
 Arg = Union[StepRef, SlotArg, Param, DatetimeValue, int, float, str, bool]
 
 
-@dataclass(frozen=True)
-class SqrStep:
+class SqrStep(NamedTuple):
     label: str
     op: str
     args: tuple
 
 
-@dataclass
-class SqrPlan:
-    steps: dict[str, SqrStep]
-    result: str
+class SqrPlan(Record):
+    __slots__ = _fields = ("steps", "result")
+
+    def __init__(self, steps: dict[str, SqrStep], result: str):
+        self.steps, self.result = steps, result
 
     def refs(self, label: str) -> list[str]:
         return [a.label for a in self.steps[label].args if isinstance(a, StepRef)]
@@ -80,6 +89,10 @@ def parse_literal(raw: Any) -> Arg:
     """A JSON scalar as a literal; a string written as a reference or a slot
     (``"|A|"``, ``"{name}"``) is not one."""
     if isinstance(raw, (bool, int, float)):
+        if not (math.isfinite(raw) if isinstance(raw, float)
+                else -2**63 <= raw < 2**63):
+            raise AagError(f"{raw!r} is not a literal: a literal number is "
+                           f"finite and fits in 64 bits")
         return raw
     if not isinstance(raw, str):
         raise AagError(f"{raw!r} is not a literal: a number, string or bool")
@@ -131,10 +144,8 @@ def parse_plan(doc: Union[str, dict]) -> SqrPlan:
     """Parse a plan document, adding a terminal ``return`` of its result
     when the result is not one."""
     if isinstance(doc, str):
-        try:
+        with json_input():
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise AagError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise AagError("plan document must be a JSON object")
     plan = plan_from_dict(doc)
@@ -145,10 +156,6 @@ def parse_plan(doc: Union[str, dict]) -> SqrPlan:
         plan.steps[label] = SqrStep(label, "return", (StepRef(plan.result),))
         plan.result = label
     return plan
-
-
-def load_plan(path: Union[str, Path]) -> SqrPlan:
-    return parse_plan(Path(path).read_text())
 
 
 def plan_to_dict(plan: SqrPlan) -> dict:
@@ -166,8 +173,7 @@ def plan_to_dict(plan: SqrPlan) -> dict:
 # analysis
 
 
-@dataclass
-class StepInfo:
+class StepInfo(NamedTuple):
     types: TypeSet
     name: str
     nicename: str | None = None
@@ -186,7 +192,7 @@ class StepInfo:
     filter_label: str | None = None           # return
     sort_label: str | None = None             # return
     limit_label: str | None = None            # return
-    columns: list[tuple[str, ColumnMeta]] = field(default_factory=list)  # return
+    columns: tuple[tuple[str, ColumnMeta], ...] = ()  # return
 
 
 def literal_types(arg: Arg) -> TypeSet:
@@ -425,7 +431,7 @@ def _analyze_return(plan: SqrPlan, info: dict[str, StepInfo], step: SqrStep,
         filter_label=roles.get(1),
         sort_label=roles.get(2),
         limit_label=roles.get(3),
-        columns=columns,
+        columns=tuple(columns),
     )
 
 

@@ -7,7 +7,7 @@ closed, and its rows are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AagError
 from .types import ATTRIBUTE_LIKE, AttributeType as T, TypeSet, typeset
@@ -37,15 +37,13 @@ def describe_allowed(allowed: frozenset) -> set:
     return {t.value for t in allowed}
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(NamedTuple):
     min_arity: int
     max_arity: int | None  # None = unbounded
     allowed: frozenset
 
 
-@dataclass(frozen=True)
-class OperationSignature:
+class OperationSignature(NamedTuple):
     name: str
     op_type: str  # Aggregation | Boolean | Arithmetic | DataOperation | Retrieval
     inputs: tuple[InputSpec, ...]

@@ -12,33 +12,28 @@ The document format (``ring_schema_v1``) is specified in docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import registry
-from .errors import AagError
-from .types import AttributeType, TypeSet
+from .errors import AagError, json_input
+from .types import AttributeType, Record, TypeSet
 
 RING_FORMAT_VERSION = "ring_schema_v1"
 
 
-@dataclass(frozen=True)
-class TableDef:
+class TableDef(NamedTuple):
     name: str
     primary_key: str
 
 
-@dataclass(frozen=True)
-class JoinDef:
+class JoinDef(NamedTuple):
     name: str
     left: str   # "table.column"
     right: str  # "table.column"
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(NamedTuple):
     name: str
     types: TypeSet
     nicename: str
@@ -49,38 +44,38 @@ class AttributeDef:
     derivation: str | None = None      # for derived: aggregation op name
 
 
-@dataclass(frozen=True)
-class EntityDef:
-    name: str
-    nicename: tuple[str, str]
-    primary_table: str
-    attributes: tuple[AttributeDef, ...]
+class EntityDef(Record):
+    _fields = ("name", "nicename", "primary_table", "attributes")
+    __slots__ = _fields + ("_attributes",)
+
+    def __init__(self, name: str, nicename: tuple[str, str],
+                 primary_table: str, attributes: tuple[AttributeDef, ...]):
+        self.name, self.nicename = name, nicename
+        self.primary_table, self.attributes = primary_table, attributes
+        # the first of duplicate names wins, as validation reports them
+        self._attributes = {a.name: a for a in reversed(attributes)}
 
     def attribute(self, name: str) -> Optional[AttributeDef]:
         return self._attributes.get(name)
 
-    @cached_property
-    def _attributes(self) -> dict[str, AttributeDef]:
-        # the first of duplicate names wins, as validation reports them
-        return {a.name: a for a in reversed(self.attributes)}
 
-
-@dataclass(frozen=True)
-class RelationshipDef:
+class RelationshipDef(NamedTuple):
     name: str
     frm: str
     to: str
     join_path: tuple[str, ...]
 
 
-@dataclass
-class Ring:
-    name: str
-    db: str
-    tables: tuple[TableDef, ...]
-    joins: tuple[JoinDef, ...]
-    entities: tuple[EntityDef, ...]
-    relationships: tuple[RelationshipDef, ...]
+class Ring(Record):
+    _fields = ("name", "db", "tables", "joins", "entities", "relationships")
+    __slots__ = _fields + ("_entities",)
+
+    def __init__(self, name: str, db: str, tables: tuple[TableDef, ...],
+                 joins: tuple[JoinDef, ...], entities: tuple[EntityDef, ...],
+                 relationships: tuple[RelationshipDef, ...]):
+        self.name, self.db, self.tables, self.joins = name, db, tables, joins
+        self.entities, self.relationships = entities, relationships
+        self._entities = {e.name: e for e in reversed(entities)}
 
     def table(self, name: str) -> Optional[TableDef]:
         return next((t for t in self.tables if t.name == name), None)
@@ -90,10 +85,6 @@ class Ring:
 
     def entity(self, name: str) -> Optional[EntityDef]:
         return self._entities.get(name)
-
-    @cached_property
-    def _entities(self) -> dict[str, EntityDef]:
-        return {e.name: e for e in reversed(self.entities)}
 
     def attribute(self, entity: str, attr: str) -> Optional[AttributeDef]:
         e = self.entity(entity)
@@ -233,11 +224,9 @@ def ring_from_dict(doc: dict) -> Ring:
 
 def load_ring(path: Union[str, Path], text: Optional[str] = None) -> Ring:
     """The ring document at ``path``, parsed from ``text`` when given."""
-    text = Path(path).read_text() if text is None else text
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise AagError(f"invalid JSON in {path}: {e}") from e
+    with json_input(path):
+        doc = json.loads(Path(path).read_text("utf-8") if text is None
+                         else text)
     return ring_from_dict(doc)
 
 
@@ -245,8 +234,7 @@ def load_ring(path: Union[str, Path], text: Optional[str] = None) -> Ring:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One machine-readable invariant violation with a path to the offending field."""
 
     code: str
@@ -393,5 +381,7 @@ def derive_attributes(ring: Ring) -> Ring:
                     units=units, derived=True, base_attribute=a.name,
                     derivation=op,
                 ))
-        new_entities.append(replace(e, attributes=e.attributes + tuple(added)))
-    return replace(ring, entities=tuple(new_entities))
+        new_entities.append(EntityDef(e.name, e.nicename, e.primary_table,
+                                      e.attributes + tuple(added)))
+    return Ring(ring.name, ring.db, ring.tables, ring.joins,
+                tuple(new_entities), ring.relationships)

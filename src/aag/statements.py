@@ -10,9 +10,8 @@ model that must not be handed ambiguous facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Context, Decimal
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .errors import AagError
 from .types import ColumnMeta, DatetimeValue, ResultSet
@@ -82,8 +81,7 @@ def format_value(value: Any, units: Optional[tuple[str, str]] = None,
 # statement templates
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """One placeholder's data source.
 
     Exactly one of ``column`` / ``input`` is set. ``word_map`` translates
@@ -96,10 +94,9 @@ class Binding:
     as_list: bool = False
 
 
-@dataclass(frozen=True)
-class StatementTemplate:
+class StatementTemplate(NamedTuple):
     template: str
-    bindings: dict[str, Binding] = field(default_factory=dict)
+    bindings: dict[str, Binding]
     null_statement: Optional[str] = None
 
 

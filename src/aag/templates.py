@@ -16,9 +16,8 @@ prefixes so that independently-authored parts can never collide.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from .errors import AagError
 from .plans import (
@@ -38,14 +37,12 @@ TEMPLATE_FORMAT_VERSION = "sqr_template_v1"
 SLOT_KINDS = ("access-plan", "literal")
 
 
-@dataclass(frozen=True)
-class SlotDef:
+class SlotDef(NamedTuple):
     name: str
     kind: str  # one of SLOT_KINDS
 
 
-@dataclass
-class PlanTemplate:
+class PlanTemplate(NamedTuple):
     id: str
     plan: SqrPlan  # may contain SlotArg placeholders
     slots: dict[str, SlotDef]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AttributeType(str, enum.Enum):
@@ -62,19 +62,44 @@ _ISO_DATETIME = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class DatetimeValue:
+class Record:
+    """A record of the fields named in ``_fields``, kept in ``__slots__``:
+    shown by them, and equal only to a record of its own class with an
+    equal ``_key`` (by default, the fields). Unlike a ``NamedTuple``, it
+    never equals a tuple or a record of another class, so the kinds of
+    plan arguments stay apart."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class DatetimeValue(Record):
     """A datetime literal, kept as its ISO-8601 source text."""
 
-    iso: str
+    __slots__ = _fields = ("iso",)
+
+    def __init__(self, iso: str):
+        self.iso = iso
 
     @staticmethod
     def matches(text: str) -> bool:
         return bool(_ISO_DATETIME.match(text))
 
 
-@dataclass(frozen=True)
-class ColumnMeta:
+class ColumnMeta(NamedTuple):
     """Metadata for one output column of a plan or query."""
 
     name: str
@@ -83,8 +108,7 @@ class ColumnMeta:
     nicename: str | None = None
 
 
-@dataclass
-class ResultSet:
+class ResultSet(NamedTuple):
     """Rows of plain scalars plus per-column metadata."""
 
     columns: list[ColumnMeta]

@@ -169,9 +169,9 @@ def split(monkeypatch):
 
 
 def load_fixture_plan(name: str):
-    from aag.plans import load_plan
+    from aag.plans import parse_plan
 
-    return load_plan(FIXTURES / "plans" / f"{name}.json")
+    return parse_plan((FIXTURES / "plans" / f"{name}.json").read_text())
 
 
 def load_fixture_request(name: str) -> str:

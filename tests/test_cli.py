@@ -334,6 +334,63 @@ def test_report_on_a_sum_past_the_largest_double_exits_1(cli_ring_path,
     assert "Traceback" not in result.output
 
 
+NOT_A_LITERAL = " is not a literal: a literal number is finite and fits in 64 bits"
+
+
+@pytest.mark.parametrize("report, change, shown", [
+    ("ranking", dict(top_n=10**20), "100000000000000000000"),
+    ("ranking", dict(target=10**20), "100000000000000000000"),
+    ("comparative_benchmark", dict(benchmark=10**20), "100000000000000000000"),
+    ("time_over_time", dict(period={"attribute": "year", "start": 10**20,
+                                    "end": 2020}), "100000000000000000000"),
+    ("ranking", dict(filters=[{"attribute": "size", "op": "greater_than",
+                               "value": 10**20}]), "100000000000000000000"),
+    ("ranking", dict(filters=[{"attribute": "size", "value": float("nan")}]),
+     "nan"),
+    ("comparative_benchmark", dict(benchmark=float("inf")), "inf"),
+    ("ranking", dict(target=float("-inf")), "-inf"),
+], ids=["top_n", "target", "benchmark", "period", "filter", "nan", "inf",
+        "-inf"])
+def test_a_request_number_out_of_range_or_not_finite_exits_1(
+        cli_ring_path, tmp_path, report, change, shown):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(dict(_request_doc(report), **change)))
+    result = _run("report", "generate", "--ring", str(cli_ring_path),
+                  "--request", str(request))
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: {shown}{NOT_A_LITERAL}\n"
+
+
+def test_a_plan_number_out_of_range_exits_1(cli_ring_path, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(Path(PLAN).read_text().replace("2020", str(10**20)))
+    result = _run("plan", "run", "--ring", str(cli_ring_path), "--plan",
+                  str(plan))
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: 100000000000000000000{NOT_A_LITERAL}\n"
+
+
+@pytest.mark.parametrize("content", [b'\xff{"version": 1}', b"[" * 100_000],
+                         ids=["undecodable", "deep"])
+@pytest.mark.parametrize("command, bad", [
+    ("ring validate", "ring"), ("plan run", "ring"), ("plan run", "plan"),
+    ("report generate", "ring"), ("report generate", "request")])
+def test_a_document_that_cannot_be_read_as_json_exits_1(
+        cli_ring_path, tmp_path, command, bad, content):
+    """Not UTF-8, or nested past the parser's recursion limit."""
+    files = {"ring": str(cli_ring_path), "plan": PLAN, "request": RANKING}
+    files[bad] = str(tmp_path / f"{bad}.json")
+    Path(files[bad]).write_bytes(content)
+    args = {"ring validate": ["--ring", files["ring"]],
+            "plan run": ["--ring", files["ring"], "--plan", files["plan"]],
+            "report generate": ["--ring", files["ring"],
+                                "--request", files["request"]]}[command]
+    result = _run(*command.split(), *args)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: invalid JSON")
+    assert "Traceback" not in result.stderr
+
+
 AGGREGATIONS = ("average", "count", "count_unique", "max", "median", "min",
                 "standard_deviation", "sum")
 # start < end, start == end, a string and a float start: per shift, the

@@ -9,6 +9,7 @@ from aag.plans import (
     SqrStep,
     StepRef,
     analyze_plan,
+    parse_literal,
     parse_plan,
     plan_to_dict,
 )
@@ -131,6 +132,21 @@ def test_datetime_literals_are_tagged():
         "R": {"op": "return", "args": ["|B|", "|F|"]},
     }, "R")
     assert plan_to_dict(plan)["steps"]["F"]["args"][1] == "2020-01-01"
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -2**63, 1e308, -0.0, True])
+def test_a_literal_number_may_be_any_finite_64_bit_one(value):
+    assert parse_literal(value) is value
+
+
+@pytest.mark.parametrize("value, shown", [
+    (2**63, "9223372036854775808"), (-2**63 - 1, "-9223372036854775809"),
+    (10**20, "100000000000000000000"), (float("nan"), "nan"),
+    (float("inf"), "inf"), (float("-inf"), "-inf")])
+def test_a_literal_number_out_of_range_or_not_finite_is_rejected(value, shown):
+    with pytest.raises(AagError, match=rf"^{shown} is not a literal: a literal "
+                                       rf"number is finite and fits in 64 bits$"):
+        parse_literal(value)
 
 
 def test_sort_direction_is_validated(ring):

@@ -79,9 +79,11 @@ class ReportRequest(NamedTuple):
             tuple(map(vals.index, vals))
 
 
-def parse_request(doc: Union[str, dict]) -> ReportRequest:
+def parse_request(doc: Union[str, dict], path=None) -> ReportRequest:
+    """Parse a request document (the text of the file at ``path``, if
+    given)."""
     if isinstance(doc, str):
-        with json_input():
+        with json_input(path):
             doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise AagError("request document must be a JSON object")

@@ -72,11 +72,12 @@ def _load_ring_checked(ring_path: str, text: str):
 
 
 # the blueprint and bound facts of the CACHE_SIZE (ring path, ring text,
-# request text) keys used last; never results: each report runs the facts
-# on the database as it is then
+# request path, request text) keys used last; never results: each report
+# runs the facts on the database as it is then
 @functools.lru_cache(maxsize=bp.CACHE_SIZE)
-def _bound_facts(ring_path: str, ring_text: str, request_text: str):
-    request = bp.parse_request(request_text)
+def _bound_facts(ring_path: str, ring_text: str, request_path: str,
+                 request_text: str):
+    request = bp.parse_request(request_text, request_path)
     blueprint = bp.load_blueprint(request.report)
     ring = _load_ring_checked(ring_path, ring_text)
     return blueprint, bp.compile_facts(ring, ring_text, blueprint, request)
@@ -104,7 +105,7 @@ def _ring_validate(ns: argparse.Namespace) -> None:
 def _plan_run(ns: argparse.Namespace) -> None:
     """Compile a plan to SQL, run it, and print the result table."""
     r = _load_ring_checked(ns.ring, _text(ns.ring))
-    compiled = compiler.compile_plan(r, parse_plan(_text(ns.plan)))
+    compiled = compiler.compile_plan(r, parse_plan(_text(ns.plan), ns.plan))
     with compiler.reader(r.db_path(Path(ns.ring).parent)) as (conn, tables):
         result = compiler.execute(compiled, conn,
                                   _echo_sql if ns.verbose else None, tables)
@@ -118,12 +119,13 @@ def _report_generate(ns: argparse.Namespace) -> None:
     request_text = _text(ns.request)
 
     if ns.mode == "plans":
-        request = bp.parse_request(request_text)
+        request = bp.parse_request(request_text, ns.request)
         facts = bp.instantiate(r, bp.load_blueprint(request.report), request)
         doc = {f.id: plan_to_dict(f.plan) for f in facts}
         return _emit(json.dumps(doc, indent=2), ns.out)
 
-    blueprint, facts = _bound_facts(ns.ring, ring_text, request_text)
+    blueprint, facts = _bound_facts(ns.ring, ring_text, ns.request,
+                                    request_text)
     # the thread's kept read connection: the report's facts, and the next
     # reports while the database is unchanged, share the TEMP tables on it
     echo = _echo_sql if ns.verbose else None

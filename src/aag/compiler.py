@@ -191,18 +191,21 @@ _COMPARE = {"exact": "=", "greater_than": ">", "greater_than_eq": ">=",
 
 # One row per aggregation (distributive, algebraic or holistic, after Gray et
 # al., "Data Cube", 1997): its SQL in one grouping level over the value {v}
-# (correlation's second value is {w}); the partial columns it is computed
-# from per join key, over {v}, or None if none (a holistic one's one
-# partial column holds it whole); and how those columns {0}, {1}, ...
-# combine over a group's partial rows, or None where it takes no eager path.
+# (correlation's second value is {w}, and it reads only the rows where
+# neither is NULL: {x} and {y}); the partial columns it is computed from per
+# join key, over {v}, or None if none (a holistic one's one partial column
+# holds it whole); and how those columns {0}, {1}, ... combine over a
+# group's partial rows, or None where it takes no eager path.
 _AGGS = {
     "average": ("AVG({v})", ("COUNT({v})", "SUM({v})"),
                 "(CAST(SUM({1}) AS REAL) / SUM({0}))"),
     "correlation": (
-        "(CASE WHEN COUNT({v}) < 2 THEN NULL ELSE "
-        "(AVG({v}*{w}) - AVG({v})*AVG({w})) / NULLIF("
-        "SQRT(MAX(AVG({v}*{v}) - AVG({v})*AVG({v}), 0.0)) * "
-        "SQRT(MAX(AVG({w}*{w}) - AVG({w})*AVG({w}), 0.0)), 0.0) END)",
+        "(CASE WHEN COUNT({v}*{w}) < 2 THEN NULL ELSE "
+        "(AVG({v}*{w}) - AVG({x})*AVG({y})) / NULLIF("
+        "SQRT(MAX(AVG({x}*{x}) - AVG({x})*AVG({x}), 0.0)) * "
+        "SQRT(MAX(AVG({y}*{y}) - AVG({y})*AVG({y}), 0.0)), 0.0) END)"
+        .replace("{x}", "(CASE WHEN {w} IS NOT NULL THEN {v} END)")
+        .replace("{y}", "(CASE WHEN {v} IS NOT NULL THEN {w} END)"),
         None, None),
     "count": ("COUNT({v})", ("COUNT({v})",), "COALESCE(SUM({0}), 0)"),
     "count_unique": ("COUNT(DISTINCT {v})", None, "MIN({0})"),
@@ -616,8 +619,6 @@ class _Region:
             return f"({args[0]} {_COMPARE[op]} {args[1]})"
         if op == "not":
             return f"(NOT COALESCE({args[0]}, 0))"
-        if op == "contains":
-            return f"(instr({args[0]}, {args[1]}) > 0)"
         if op == "divide":
             acc = args[0]
             for a in args[1:]:

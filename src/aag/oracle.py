@@ -1,8 +1,9 @@
 """Reference evaluator: runs plans directly over in-memory rows.
 
 This module exists to check the SQL pipeline, so it deliberately shares no
-evaluation machinery with it -- joins are nested loops, grouping is a dict,
-and the numerics come from the standard library (``statistics``,
+evaluation machinery with it -- joins are hashed equi-joins over rows keyed
+by table that keep every match (a NULL key matches nothing), grouping is a
+dict, and the numerics come from the standard library (``statistics``,
 ``math.fsum``). It consults the shared plan *representation* (parsing and
 analysis) and the semantic constants, nothing else.
 """
@@ -112,14 +113,12 @@ def _apply_op(op: str, args: list):
         return any(a)
     if op == "not":
         return not a[0]
-    if op in ("exact", "contains", "greater_than", "greater_than_eq",
-              "less_than", "less_than_eq"):
+    if op in ("exact", "greater_than", "greater_than_eq", "less_than",
+              "less_than_eq"):
         if any(x is None for x in a):
             return False
         if op == "exact":
             return a[0] == a[1]
-        if op == "contains":
-            return str(a[1]) in str(a[0])
         if op == "greater_than":
             return a[0] > a[1]
         if op == "greater_than_eq":
@@ -138,8 +137,8 @@ def _apply_op(op: str, args: list):
         return acc
     if op == "absolute_value":
         return abs(a[0])
-    if op == "square_root":
-        return math.sqrt(a[0])
+    if op == "square_root":  # of a negative is NULL, as SQL's SQRT is
+        return None if a[0] < 0 else math.sqrt(a[0])
     if op == "percent_change":
         if a[0] == 0:
             return None
@@ -215,71 +214,43 @@ class _Evaluator:
 
     # -- row sources ----------------------------------------------------------
 
-    def _entity_rows(self, entity_labels: list[str]) -> list[dict]:
-        """Nested-loop join of the entities' primary tables via relationships."""
-        envs: list[dict] = []
-        joined: list[str] = []
-        for label in entity_labels:
-            ename = self.info[label].entity
-            e = self.ring.entity(ename)
-            rows = self.ds.tables.get(e.primary_table, [])
-            if not envs:
-                envs = [{label: r} for r in rows]
-                joined = [label]
-                continue
-            # find a relationship between this entity and one already joined
-            rel = None
-            partner = None
-            for j in joined:
-                rel = self.ring.relationship_between(
-                    self.info[j].entity, ename)
-                if rel is not None:
-                    partner = j
-                    break
-            if rel is None:
-                raise AagError(
-                    f"no relationship connects {ename!r} to the plan's other "
-                    f"entities")
-            new_envs = []
-            for env in envs:
-                for r in rows:
-                    if self._rows_match(env[partner],
-                                        self.info[partner].entity, r, ename,
-                                        rel):
-                        e2 = dict(env)
-                        e2[label] = r
-                        new_envs.append(e2)
-            envs = new_envs
-            joined.append(label)
+    def _joined_rows(self, entities: list[str]) -> list[dict]:
+        """The entities' tables joined as SQL's FROM and WHERE join them:
+        each env maps a table to its row, and each join on a relationship's
+        path is a hashed equi-join that keeps every match."""
+        table = self.ring.entity(entities[0]).primary_table
+        envs = [{table: r} for r in self.ds.tables.get(table, [])]
+        bound, connected, remaining = {table}, entities[:1], entities[1:]
+        while remaining:  # the first entity related to a connected one
+            hop = next(((b, r) for a in connected for b in remaining
+                        if (r := self.ring.relationship_between(a, b))), None)
+            if hop is None:
+                raise AagError(f"no relationship connects {remaining!r} to "
+                               f"{connected!r}")
+            name, rel = hop
+            remaining.remove(name)
+            connected.append(name)
+            joins = [(*self.ring.join(n).left.split("."),
+                      *self.ring.join(n).right.split("."))
+                     for n in rel.join_path]
+            while joins:  # the next join that reaches a bound table
+                j = next((j for j in joins if {j[0], j[2]} & bound), None)
+                if j is None:
+                    raise AagError(f"the join path of {rel.name!r} reaches "
+                                   f"no bound table")
+                joins.remove(j)
+                lt, lc, rt, rc = j if j[0] in bound else j[2:] + j[:2]
+                if rt in bound:
+                    envs = [e for e in envs if _joins(e[lt][lc], e[rt][rc])]
+                    continue
+                index: dict = {}  # the new table's rows by key; NULL joins none
+                for r in self.ds.tables.get(rt, []):
+                    if r[rc] is not None:
+                        index.setdefault(r[rc], []).append(r)
+                envs = [{**e, rt: r} for e in envs
+                        for r in index.get(e[lt][lc], ())]
+                bound.add(rt)
         return envs
-
-    def _rows_match(self, row_a: dict, ent_a: str, row_b: dict, ent_b: str,
-                    rel) -> bool:
-        # walk every join on the path; intermediate tables are scanned
-        bound = {self.ring.entity(ent_a).primary_table: row_a,
-                 self.ring.entity(ent_b).primary_table: row_b}
-        for join_name in rel.join_path:
-            j = self.ring.join(join_name)
-            lt, lc = j.left.split(".")
-            rt, rc = j.right.split(".")
-            if lt in bound and rt in bound:
-                if not _joins(bound[lt][lc], bound[rt][rc]):
-                    return False
-            elif lt in bound:
-                matches = [r for r in self.ds.tables.get(rt, [])
-                           if _joins(r[rc], bound[lt][lc])]
-                if not matches:
-                    return False
-                bound[rt] = matches[0]
-            elif rt in bound:
-                matches = [r for r in self.ds.tables.get(lt, [])
-                           if _joins(r[lc], bound[rt][rc])]
-                if not matches:
-                    return False
-                bound[lt] = matches[0]
-            else:
-                raise AagError(f"join {join_name!r} connects no bound table")
-        return True
 
     # -- per-row values -------------------------------------------------------
 
@@ -288,9 +259,8 @@ class _Evaluator:
         si = self.info[label]
         if step.op == "retrieve_attribute":
             if si.attribute is not None:
-                src_label = step.args[0].label
                 table, column = self.ring.attribute(*si.attribute).source
-                return env[src_label][column]
+                return env[table][column]
             # materialized column
             if si.source_return in scalars:
                 return scalars[si.source_return][si.source_column]
@@ -319,36 +289,40 @@ class _Evaluator:
             else:
                 row_sources.append(up)
 
-        entity_labels = sorted(
-            l for l in region if self.plan.steps[l].op == "retrieve_entity")
-        if entity_labels and row_sources:
+        # one table binding per distinct entity, as SQL has one alias
+        entities = list(dict.fromkeys(
+            self.info[l].entity for l in sorted(region)
+            if self.plan.steps[l].op == "retrieve_entity"))
+        if entities and row_sources:
             raise AagError("region mixes entity scans with multi-row materializations")
         if len(row_sources) > 1:
             raise AagError("region reads more than one multi-row materialization")
 
-        if entity_labels:
-            envs = self._entity_rows(entity_labels)
+        if entities:
+            envs = self._joined_rows(entities)
         elif row_sources:
             src = row_sources[0]
             envs = [{src: r} for r in self.materialize(src)]
         else:
             envs = [{}]  # purely scalar region
 
-        # window ranks are computed over the unfiltered, sorted source
+        # window ranks are computed over the unfiltered, sorted source; the
+        # source's other columns break ties, ascending
         rank_values: dict[str, dict[int, int]] = {}
         for label in region:
             if self.plan.steps[label].op == "row_number":
-                sort_label = self.info[label].value_label
-                s = self.info[sort_label]
-                reverse = s.direction == "desc"
-                keyed = [
-                    (tuple(_sort_key(self._row_value(k, env, scalars))
-                           for k in s.key_labels), i)
-                    for i, env in enumerate(envs)
-                ]
-                keyed.sort(key=lambda kv: kv[0], reverse=reverse)
-                rank_values[label] = {i: rank + 1
-                                      for rank, (_, i) in enumerate(keyed)}
+                if not row_sources:
+                    raise AagError(
+                        "window rank requires a materialized row source")
+                s = self.info[self.info[label].value_label]
+                keys = {self.info[k].name for k in s.key_labels}
+                order = sorted(range(len(envs)), key=lambda i: tuple(
+                    _sort_key(v) for c, v in envs[i][row_sources[0]].items()
+                    if c not in keys))
+                order.sort(key=lambda i: tuple(
+                    _sort_key(self._row_value(k, envs[i], scalars))
+                    for k in s.key_labels), reverse=s.direction == "desc")
+                rank_values[label] = {i: n + 1 for n, i in enumerate(order)}
 
         def value(label: str, env: dict, idx: int):
             if label in rank_values:

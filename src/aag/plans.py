@@ -140,11 +140,11 @@ def plan_from_dict(doc: dict, allow_slots: bool = False) -> SqrPlan:
     return plan
 
 
-def parse_plan(doc: Union[str, dict]) -> SqrPlan:
-    """Parse a plan document, adding a terminal ``return`` of its result
-    when the result is not one."""
+def parse_plan(doc: Union[str, dict], path=None) -> SqrPlan:
+    """Parse a plan document (the text of the file at ``path``, if given),
+    adding a terminal ``return`` of its result when the result is not one."""
     if isinstance(doc, str):
-        with json_input():
+        with json_input(path):
             doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise AagError("plan document must be a JSON object")

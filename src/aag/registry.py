@@ -92,7 +92,6 @@ _ROWS = [
     _sig("sum", "Aggregation", [(1, 1, typeset(T.ARITHMETIC)), (0, 1, _GROUPING)], _AM),
     # boolean operations produce filters
     _sig("and", "Boolean", [(1, None, _FILTER)], _FILTER),
-    _sig("contains", "Boolean", [(1, 1, ATTRIBUTE), (1, 1, typeset(T.METRIC))], _FILTER),
     _sig("exact", "Boolean",
          [(2, 2, typeset(T.ARITHMETIC, T.METRIC, T.CATEGORICAL, T.STRING,
                          T.DATETIME, T.IDENTIFIER))],

@@ -304,6 +304,11 @@ def validate_ring(ring: Ring) -> list[Violation]:
                     "UnknownTable", f"{where}.source",
                     f"attribute {a.name!r} sources unknown table "
                     f"{a.source[0]!r}"))
+            elif a.source[0] != e.primary_table:  # plans read no other
+                out.append(Violation(
+                    "ForeignSource", f"{where}.source",
+                    f"attribute {a.name!r} sources table {a.source[0]!r}, "
+                    f"not its entity's primary table {e.primary_table!r}"))
 
     out += _duplicates("relationship", "relationships", ring.relationships)
     for r in ring.relationships:

@@ -161,7 +161,7 @@ def test_criterion_2_registry_typing_is_exhaustive():
                     problems.append(f"{name} rejected a kind mismatch with {e}")
                 checked_invalid += 1
             break
-    _check(2, len(registry.REGISTRY) == 36 and checked_valid == 36
+    _check(2, len(registry.REGISTRY) == 35 and checked_valid == 35
            and checked_invalid > 0 and not problems,
            f"{len(registry.REGISTRY)} operations, {checked_valid} valid "
            f"checks, {checked_invalid} mismatch checks, "

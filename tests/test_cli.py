@@ -55,6 +55,21 @@ def test_ring_validate_reports_violations(tmp_path):
     assert "UnknownTable" in result.output
 
 
+def test_ring_validate_rejects_a_source_outside_the_primary_table(tmp_path):
+    doc = json.loads(RING_PATH.read_text())
+    doc["entities"][1]["attributes"].append(
+        {"name": "fire_year", "types": ["datetime"],
+         "source": ["wildfires", "year"]})
+    bad = tmp_path / "bad_ring.json"
+    bad.write_text(json.dumps(doc))
+    result = invoke(["ring", "validate", "--ring", str(bad)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "ForeignSource at entities.State.attributes.fire_year.source: "
+        "attribute 'fire_year' sources table 'wildfires', not its entity's "
+        "primary table 'states'\n")
+
+
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_ring_validate_lists_duplicates_in_document_order(tmp_path, seed):
     doc = json.loads(RING_PATH.read_text())
@@ -370,14 +385,16 @@ def test_a_plan_number_out_of_range_exits_1(cli_ring_path, tmp_path):
     assert result.stderr == f"error: 100000000000000000000{NOT_A_LITERAL}\n"
 
 
-@pytest.mark.parametrize("content", [b'\xff{"version": 1}', b"[" * 100_000],
-                         ids=["undecodable", "deep"])
+@pytest.mark.parametrize("content", [b'\xff{"version": 1}', b"[" * 100_000,
+                                     b"{not json"],
+                         ids=["undecodable", "deep", "not_json"])
 @pytest.mark.parametrize("command, bad", [
     ("ring validate", "ring"), ("plan run", "ring"), ("plan run", "plan"),
     ("report generate", "ring"), ("report generate", "request")])
 def test_a_document_that_cannot_be_read_as_json_exits_1(
         cli_ring_path, tmp_path, command, bad, content):
-    """Not UTF-8, or nested past the parser's recursion limit."""
+    """Not UTF-8, nested past the parser's recursion limit, or not JSON:
+    the message names the file."""
     files = {"ring": str(cli_ring_path), "plan": PLAN, "request": RANKING}
     files[bad] = str(tmp_path / f"{bad}.json")
     Path(files[bad]).write_bytes(content)
@@ -387,7 +404,7 @@ def test_a_document_that_cannot_be_read_as_json_exits_1(
                                 "--request", files["request"]]}[command]
     result = _run(*command.split(), *args)
     assert (result.exit_code, result.stdout) == (1, "")
-    assert result.stderr.startswith("error: invalid JSON")
+    assert result.stderr.startswith(f"error: invalid JSON in {files[bad]}: ")
     assert "Traceback" not in result.stderr
 
 
@@ -604,7 +621,7 @@ def test_a_rewritten_request_or_ring_misses_the_memo(cli_ring_path, tmp_path,
 
 
 @pytest.mark.parametrize("doc, message", [
-    ("{", "error: invalid JSON: "),
+    ("{", "error: invalid JSON in {request}: "),
     (json.dumps(_request_doc("ranking", target="|A|")),
      "error: '|A|' is written as a reference or a slot"),
     (json.dumps(dict(_request_doc("ranking"), metric="bogus")),
@@ -619,7 +636,8 @@ def test_a_failing_request_fails_alike_every_time(cli_ring_path, tmp_path,
                     "--request", str(request)) for _ in range(3)]
     assert {(r.exit_code, r.stdout, r.stderr) for r in results} == \
         {(1, "", results[0].stderr)}
-    assert results[0].stderr.startswith(message)
+    assert results[0].stderr.startswith(message.replace("{request}",
+                                                        str(request)))
     assert len(calls) == 3  # an error is never memoized
     assert cli._bound_facts.cache_info().currsize == 0
 
@@ -665,7 +683,7 @@ def test_threads_report_one_memoized_request_alike(cli_ring_path, tmp_path):
     for out in outs:  # memoizes the request and each thread's command line
         assert _run(*args, "--out", str(out)).exit_code == 0
     blueprint, facts = cli._bound_facts(
-        str(cli_ring_path), cli_ring_path.read_text(),
+        str(cli_ring_path), cli_ring_path.read_text(), RANKING,
         Path(RANKING).read_text())
     before = copy.deepcopy((blueprint, facts,
                             [f.compiled.shape for f in facts]))

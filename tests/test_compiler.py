@@ -220,6 +220,14 @@ ORACLE_CASES = {
     "default_order_is_all_columns_ascending": (_collect("Y B"),
         [(2019, 150.0), (2019, 250.0), (2019, 300.0),
          (2020, 50.0), (2020, 100.0), (2020, 200.0)]),
+    # average(square_root(size - 150)) by state: a fire under 150 acres
+    # gives NULL, which the average skips
+    "square_root_of_a_negative_is_null": (_collect(
+        "D V", C=("retrieve_entity", ["State"]),
+        D=("retrieve_attribute", ["|C|", "name"]), G=("groupby", ["|D|"]),
+        S=("subtract", ["|B|", 150]), Q=("square_root", ["|S|"]),
+        V=("average", ["|Q|", "|G|"])),
+        [("California", (50 ** 0.5 + 150 ** 0.5) / 2), ("Nevada", 5.0)]),
     "percent_change_scale": (_collect(
         "V", V=("percent_change", ["|B|", 300])),
         [(0.0,), (20.0,), (50.0,), (100.0,), (200.0,), (500.0,)]),

@@ -18,7 +18,6 @@ METRIC = typeset(T.ARITHMETIC, T.METRIC)
 CATEG = typeset(T.CATEGORICAL)
 DATE = typeset(T.DATETIME)
 IDENT = typeset(T.IDENTIFIER)
-DOC = typeset(T.DOCUMENT)
 STR = typeset(T.STRING)
 FILT = typeset(T.FILTER)
 GROUP = typeset(T.GROUPING)
@@ -42,7 +41,7 @@ def bad(op, *arg_types):
 
 
 def test_registry_is_complete():
-    assert len(REGISTRY) == 36
+    assert len(REGISTRY) == 35
 
 
 @pytest.mark.parametrize("op", AGGS)
@@ -88,12 +87,6 @@ def test_exact_accepts_all_comparable_kinds():
     for kind in (ARITH, METRIC, CATEG, STR, DATE, IDENT):
         ok("exact", kind, kind)
     bad("exact", FILT, FILT)
-
-
-def test_contains_takes_attribute_then_metric():
-    ok("contains", DOC, METRIC)
-    bad("contains", FILT, METRIC)
-    bad("contains", DOC, STR)
 
 
 @pytest.mark.parametrize("op", ["greater_than", "greater_than_eq",

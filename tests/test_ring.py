@@ -53,6 +53,20 @@ def test_duplicate_attribute_is_flagged():
     assert any(v.code == "DuplicateIdentifier" for v in validate_ring(r))
 
 
+def _fire_year_on_state(d):
+    d["entities"][1]["attributes"].append(
+        {"name": "fire_year", "types": ["datetime"],
+         "source": ["wildfires", "year"]})
+
+
+def test_source_outside_the_primary_table_is_flagged():
+    # plans read an attribute only from its entity's primary table
+    assert validate_ring(_mutate(_fire_year_on_state)) == [(
+        "ForeignSource", "entities.State.attributes.fire_year.source",
+        "attribute 'fire_year' sources table 'wildfires', not its entity's "
+        "primary table 'states'")]
+
+
 def test_broken_join_path_is_flagged():
     def change(d):
         d["relationships"][0]["join_path"] = ["no_such_join"]

@@ -39,9 +39,9 @@ keep: a TEMP table is only ever read in the snapshot it was built from, so
 does so is user-visible and stated in docs/formats.md (the ``--verbose``
 paragraph).
 
-Materializations whose columns are all ungrouped aggregates are known to be
-single-row; other regions consume them through scalar subqueries rather than
-joins. Every literal is bound once into its statement's parameter list and
+Analysis decides each region's shape (docs/formats.md, "Regions"); a region
+reads a single-row materialization through scalar subqueries rather than a
+join. Every literal is bound once into its statement's parameter list and
 emitted as the numbered parameter ``?N`` (its 1-based position), so a
 compiled text that appears more than once reuses the same numbers. A request
 value (a ``Param``) is a marked slot of the list: ``CompiledQuery.bind`` fills
@@ -258,33 +258,7 @@ class _Compiler:
                              output_columns=columns, subplans=self.subplans,
                              materializations=list(self._mats.values()))
 
-    # -- region helpers -------------------------------------------------------
-
-    def _region(self, ret_label: str) -> tuple[dict[str, list[str]], set]:
-        """The region's labels by op, and the upstream returns it reads."""
-        seen: set[str] = set()
-        by_op: dict[str, list[str]] = {}
-        upstream: set[str] = set()
-        stack = [ret_label]
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            step = self.plan.steps[label]
-            if step.op == "return" and label != ret_label:
-                upstream.add(label)
-                continue
-            by_op.setdefault(step.op, []).append(label)
-            for a in step.args:
-                if isinstance(a, StepRef):
-                    stack.append(a.label)
-        return by_op, upstream
-
-    def _is_scalar_mat(self, ret_label: str) -> bool:
-        return all(self.plan.steps[l].op in _AGGS
-                   and self.info[l].grouping_label is None
-                   for l in self.info[ret_label].collection_labels)
+    # -- region compilation --------------------------------------------------
 
     def _materialize(self, ret_label: str) -> str:
         """Compile the region to a statement with its own CTEs and
@@ -306,43 +280,23 @@ class _Compiler:
         self._mats.setdefault(key or name, (name, sql, params, blocks))
         return name
 
-    # -- region compilation --------------------------------------------------
-
     def _region_sql(self, ret_label: str) -> str:
-        by_op, upstream = self._region(ret_label)
-
-        mats = {up: self._materialize(up) for up in sorted(upstream)}
-        scalar_mats = {u: t for u, t in mats.items() if self._is_scalar_mat(u)}
-        row_mats = {u: t for u, t in mats.items() if u not in scalar_mats}
-
-        # one alias per distinct entity
-        entity_names: list[str] = []
-        for l in sorted(by_op.get("retrieve_entity", ())):
-            if self.info[l].entity not in entity_names:
-                entity_names.append(self.info[l].entity)
-
-        if entity_names and row_mats:
-            raise AagError("region mixes entity scans with multi-row materializations")
-        if len(row_mats) > 1:
-            raise AagError("region reads more than one multi-row materialization")
-
-        sql = _Region(self, by_op, ret_label, scalar_mats, row_mats,
-                      entity_names).build()
+        mats = {up: self._materialize(up)
+                for up in self.info[ret_label].upstream}
+        sql = _Region(self, ret_label, mats).build()
         pieces = [f"{name} AS (\n{cte_sql}\n)" for name, cte_sql in self.ctes]
         return ("WITH " + ",\n".join(pieces) + "\n" if pieces else "") + sql
 
 
 class _Region:
-    def __init__(self, comp: _Compiler, by_op: dict[str, list[str]],
-                 ret_label: str, scalar_mats: dict[str, str],
-                 row_mats: dict[str, str], entity_names: list[str]):
+    def __init__(self, comp: _Compiler, ret_label: str, mats: dict[str, str]):
+        """``mats`` names the TEMP table of each upstream return."""
         self.c = comp
-        self.by_op = by_op
-        self.ret_label = ret_label
-        self.scalar_mats = scalar_mats
-        self.row_mats = row_mats
-        self.entity_names = entity_names
         self.ret = comp.info[ret_label]
+        self.scalar_mats = {u: t for u, t in mats.items()
+                            if comp.info[u].single_row}
+        self.row_mats = {u: t for u, t in mats.items()
+                         if u not in self.scalar_mats}
         self.aggs = [l for l in self.ret.collection_labels
                      if comp.plan.steps[l].op in _AGGS]
         self.holistic = any(_AGGS[comp.plan.steps[l].op][1] is None
@@ -363,8 +317,8 @@ class _Region:
     # -- FROM / WHERE -----------------------------------------------------------
 
     def _build_from(self) -> None:
-        if self.entity_names:
-            res = self.joins = resolve_joins(self.c.ring, self.entity_names)
+        if self.ret.entities:
+            res = self.joins = resolve_joins(self.c.ring, self.ret.entities)
             self.from_sql = "FROM " + ", ".join(_q(t) for t in res.tables)
             self.fact = self._eager_fact()
         elif self.row_mats:
@@ -374,7 +328,7 @@ class _Region:
             self.from_sql = "FROM (SELECT 1)"
 
     def _build_where(self) -> None:
-        parts = self._join_sql() if self.entity_names else []
+        parts = self._join_sql() if self.ret.entities else []
         if self.fact:
             for l, inner in self.conjuncts:
                 if inner:
@@ -391,14 +345,6 @@ class _Region:
     def _join_sql(self) -> list[str]:
         return [f"{self._col(a, x)} = {self._col(b, y)}"
                 for a, x, b, y in self.joins.conditions]
-
-    def _column_expr(self, label: str, what: str) -> str:
-        """Compile a key that must be a plain column (it binds nothing)."""
-        bound = len(self.c.params)
-        sql = self.expr(label)
-        if len(self.c.params) != bound:
-            raise AagError(f"{what} must be columns")
-        return sql
 
     # -- eager aggregation ------------------------------------------------------
 
@@ -526,21 +472,18 @@ class _Region:
 
     def _hoist_windows(self) -> None:
         """Move window ranks into their own CTE over the row source."""
-        ranks = self.by_op.get("row_number")
+        ranks = [l for l in self.ret.region
+                 if self.c.plan.steps[l].op == "row_number"]
         if not ranks:
             return
-        if self.row_alias is None:
-            raise AagError("window rank requires a materialized row source")
         src_label = next(iter(self.row_mats))
         src_cols = [c.name for _, c in self.c.info[src_label].columns]
         select = [f"{_q(c)}" for c in src_cols]
         for l in ranks:
             si = self.c.info[l]
             sort = self.c.info[si.value_label]
-            keys = []
-            for k in sort.key_labels:
-                ks = self._column_expr(k, "window sort keys")
-                keys.append(f"{ks} {'DESC' if sort.direction == 'desc' else 'ASC'}")
+            way = "DESC" if sort.direction == "desc" else "ASC"
+            keys = [f"{self.expr(k)} {way}" for k in sort.key_labels]
             # deterministic ranks: remaining columns break ties, ascending
             key_cols = {self.c.info[k].name for k in sort.key_labels}
             for c in src_cols:
@@ -559,24 +502,15 @@ class _Region:
 
     def _hoist_nested_groups(self) -> None:
         """Aggregations over grouped aggregations read from a grouping CTE."""
-        inputs = {self.c.info[l].value_label for op, labels in
-                  self.by_op.items() if op in _AGGS for l in labels}
-        # an aggregation's input is in its region unless a return
-        inner_labels = {i for i in inputs
-                        if i and self.c.plan.steps[i].op in _AGGS}
-        if not inner_labels:
+        inner = self.ret.nested_label
+        if inner is None:
             return
-        if len(inner_labels) > 1:
-            raise AagError("multiple nested aggregations in one region")
-        inner = next(iter(inner_labels))
         inner_si = self.c.info[inner]
-        if inner_si.grouping_label is None:
-            raise AagError("aggregation over an ungrouped aggregation")
         keys = self.c.info[inner_si.grouping_label].key_labels
         select = []
         group = []
         for k in keys:
-            ks = self._column_expr(k, "group keys")
+            ks = self.expr(k)
             select.append(f"{ks} AS {_q(self.c.info[k].name)}")
             group.append(ks)
         select.append(f"{self._agg_expr(inner)} AS {_q(inner_si.name)}")
@@ -658,9 +592,6 @@ class _Region:
 
         ret = self.ret
         agg_labels = [l for l in self.aggs if l not in self.column_of]
-        grouped = [l for l in agg_labels
-                   if self.c.info[l].grouping_label is not None]
-
         select_parts: list[str] = []
         group_exprs: list[str] = []
         for label, col in ret.columns:
@@ -673,11 +604,8 @@ class _Region:
             self.from_sql = self._eager_from()
         sql_lines = [f"SELECT {', '.join(select_parts)}", self.from_sql,
                      self.where_sql]
-        if grouped and group_exprs:
+        if group_exprs:
             sql_lines.append(f"GROUP BY {', '.join(group_exprs)}")
-        elif agg_labels and group_exprs:
-            raise AagError(
-                "per-row column collected alongside an ungrouped aggregation")
 
         sql_lines.append(self._order_clause())
         if ret.limit_label:

@@ -5,7 +5,8 @@ evaluation machinery with it -- joins are hashed equi-joins over rows keyed
 by table that keep every match (a NULL key matches nothing), grouping is a
 dict, and the numerics come from the standard library (``statistics``,
 ``math.fsum``). It consults the shared plan *representation* (parsing and
-analysis) and the semantic constants, nothing else.
+analysis, which decides each region's shape: docs/formats.md, "Regions")
+and the semantic constants, nothing else.
 """
 
 from __future__ import annotations
@@ -185,24 +186,6 @@ class _Evaluator:
         self.ds = dataset
         self._materialized: dict[str, list[dict]] = {}
 
-    # -- region discovery ---------------------------------------------------
-
-    def _region(self, ret_label: str) -> tuple[set[str], set[str]]:
-        """Steps in the region rooted at a return, plus upstream returns."""
-        steps: set[str] = set()
-        upstream: set[str] = set()
-        stack = [ret_label]
-        while stack:
-            label = stack.pop()
-            if label in steps:
-                continue
-            if label != ret_label and self.plan.steps[label].op == "return":
-                upstream.add(label)
-                continue
-            steps.add(label)
-            stack.extend(self.plan.refs(label))
-        return steps, upstream
-
     def materialize(self, ret_label: str) -> list[dict]:
         if ret_label not in self._materialized:
             result = self.eval_return(ret_label)
@@ -263,7 +246,7 @@ class _Evaluator:
                 return env[table][column]
             # materialized column
             if si.source_return in scalars:
-                return scalars[si.source_return][si.source_column]
+                return scalars[si.source_return].get(si.source_column)
             return env[si.source_return][si.source_column]
         args = []
         for a in step.args:
@@ -276,32 +259,14 @@ class _Evaluator:
     # -- region evaluation ------------------------------------------------------
 
     def eval_return(self, ret_label: str) -> ResultSet:
-        region, upstream = self._region(ret_label)
         ret = self.info[ret_label]
-
-        # classify upstream materializations: scalar (one row) vs row source
-        scalars: dict[str, dict] = {}
-        row_sources: list[str] = []
-        for up in sorted(upstream):
-            rows = self.materialize(up)
-            if len(rows) == 1:
-                scalars[up] = rows[0]
-            else:
-                row_sources.append(up)
-
-        # one table binding per distinct entity, as SQL has one alias
-        entities = list(dict.fromkeys(
-            self.info[l].entity for l in sorted(region)
-            if self.plan.steps[l].op == "retrieve_entity"))
-        if entities and row_sources:
-            raise AagError("region mixes entity scans with multi-row materializations")
-        if len(row_sources) > 1:
-            raise AagError("region reads more than one multi-row materialization")
-
-        if entities:
-            envs = self._joined_rows(entities)
-        elif row_sources:
-            src = row_sources[0]
+        # a single-row source without its row reads as NULLs
+        scalars = {up: (self.materialize(up) or [{}])[0]
+                   for up in ret.upstream if self.info[up].single_row}
+        src = next((up for up in ret.upstream if up not in scalars), None)
+        if ret.entities:  # one table binding each, as SQL has one alias
+            envs = self._joined_rows(list(ret.entities))
+        elif src:
             envs = [{src: r} for r in self.materialize(src)]
         else:
             envs = [{}]  # purely scalar region
@@ -309,15 +274,12 @@ class _Evaluator:
         # window ranks are computed over the unfiltered, sorted source; the
         # source's other columns break ties, ascending
         rank_values: dict[str, dict[int, int]] = {}
-        for label in region:
+        for label in ret.region:
             if self.plan.steps[label].op == "row_number":
-                if not row_sources:
-                    raise AagError(
-                        "window rank requires a materialized row source")
                 s = self.info[self.info[label].value_label]
                 keys = {self.info[k].name for k in s.key_labels}
                 order = sorted(range(len(envs)), key=lambda i: tuple(
-                    _sort_key(v) for c, v in envs[i][row_sources[0]].items()
+                    _sort_key(v) for c, v in envs[i][src].items()
                     if c not in keys))
                 order.sort(key=lambda i: tuple(
                     _sort_key(self._row_value(k, envs[i], scalars))
@@ -380,15 +342,8 @@ class _Evaluator:
                             label, [(i, env) for i, env, _ in members], value))
                 rows.append(tuple(out))
             return rows
-        # scalar aggregations
-        out = []
-        for label in ret.collection_labels:
-            if label in agg_labels:
-                out.append(self._aggregate(label, indexed, value))
-            else:
-                raise AagError("per-row column collected alongside an ungrouped "
-                               "aggregation")
-        return [tuple(out)]
+        # ungrouped aggregations, the only columns
+        return [tuple(self._aggregate(l, indexed, value) for l in agg_labels)]
 
     def _aggregate(self, label: str, indexed, value):
         """The aggregation ``label`` over the rows ``indexed``."""
@@ -401,11 +356,8 @@ class _Evaluator:
         if not self._is_agg(inner):
             return _agg(step.op, [value(inner, env, i) for i, env in indexed])
         # aggregation over a grouped aggregation's per-group values
-        inner_si = self.info[inner]
-        if inner_si.grouping_label is None:
-            raise AagError("aggregation over an ungrouped aggregation")
         groups: dict[tuple, list] = {}
-        keys = self.info[inner_si.grouping_label].key_labels
+        keys = self.info[self.info[inner].grouping_label].key_labels
         for i, env in indexed:
             k = tuple(_norm(value(kl, env, i)) for kl in keys)
             groups.setdefault(k, []).append((i, env))

@@ -193,6 +193,15 @@ class StepInfo(NamedTuple):
     sort_label: str | None = None             # return
     limit_label: str | None = None            # return
     columns: tuple[tuple[str, ColumnMeta], ...] = ()  # return
+    # the region a return roots (docs/formats.md, "Regions"): its steps,
+    # depth first; the returns it reads, sorted; the distinct entities it
+    # scans; the aggregation another in it aggregates; whether it is
+    # single-row
+    region: tuple[str, ...] = ()
+    upstream: tuple[str, ...] = ()
+    entities: tuple[str, ...] = ()
+    nested_label: str | None = None
+    single_row: bool = False
 
 
 def literal_types(arg: Arg) -> TypeSet:
@@ -432,7 +441,51 @@ def _analyze_return(plan: SqrPlan, info: dict[str, StepInfo], step: SqrStep,
         sort_label=roles.get(2),
         limit_label=roles.get(3),
         columns=tuple(columns),
+        **_region(plan, info, step.label, ordered),
     )
+
+
+def _region(plan: SqrPlan, info: dict[str, StepInfo], label: str,
+            collected: list[str]) -> dict:
+    """The region the return ``label`` roots, collecting ``collected``;
+    raises on a shape that the rules of docs/formats.md ("Regions") reject."""
+    region, upstream, seen, stack = [], [], set(), [label]
+    while stack:  # depth first, stopping at the returns it reads
+        ref = stack.pop()
+        if ref in seen:
+            continue
+        seen.add(ref)
+        if ref != label and plan.steps[ref].op == "return":
+            upstream.append(ref)
+        else:
+            region.append(ref)
+            stack.extend(plan.refs(ref))
+    upstream.sort()
+    entities = tuple(dict.fromkeys(info[l].entity for l in sorted(region)
+                                   if plan.steps[l].op == "retrieve_entity"))
+    rows = [u for u in upstream if not info[u].single_row]
+    if entities and rows:
+        raise AagError("region mixes entity scans with multi-row materializations")
+    if len(rows) > 1:
+        raise AagError("region reads more than one multi-row materialization")
+    if not rows and any(plan.steps[l].op == "row_number" for l in region):
+        raise AagError("window rank requires a materialized row source")
+    aggs = {l for l in region
+            if registry.get_signature(plan.steps[l].op).is_aggregation}
+    nested = {info[l].value_label for l in aggs} & aggs
+    if len(nested) > 1:
+        raise AagError("multiple nested aggregations in one region")
+    nested_label = nested.pop() if nested else None
+    if nested_label and info[nested_label].grouping_label is None:
+        raise AagError("aggregation over an ungrouped aggregation")
+    # the nested aggregation and its keys are per-row columns of the region
+    outer = [l for l in collected if l in aggs and l != nested_label]
+    ungrouped = all(info[l].grouping_label is None for l in outer)
+    if 0 < len(outer) < len(collected) and ungrouped:
+        raise AagError("per-row column collected alongside an ungrouped aggregation")
+    return dict(region=tuple(region), upstream=tuple(upstream),
+                entities=entities, nested_label=nested_label,
+                single_row=ungrouped and len(outer) == len(collected))
 
 
 def ensure_no_dead_steps(plan: SqrPlan) -> None:

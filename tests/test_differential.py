@@ -5,14 +5,15 @@ Every case runs one plan through ``run_plan`` and ``oracle_eval`` on a small
 database that holds NULLs, a zero, a negative, tied values, values shifted
 by 1e9, a NULL group key, two states that share a name, a state without
 fires and fires without a state. The two results agree at 1e-9 relative, or
-both evaluators raise an ``AagError``. A known defect that a ROADMAP item
-owns is a strict ``xfail`` that names the item.
+both evaluators raise an ``AagError`` with the same message. A known defect
+that a ROADMAP item owns is a strict ``xfail`` that names the item.
 """
 
 import json
 
 import pytest
 
+from aag.blueprints import instantiate, load_blueprint, parse_request
 from aag.compiler import run_plan
 from aag.errors import AagError
 from aag.oracle import MemoryDataset, oracle_eval
@@ -97,15 +98,28 @@ def _by_state(op, *args):
 
 
 def _ranked(*sort, **steps):
-    """Fires ranked by year over a materialization of them, sorted by
-    ``sort`` if given."""
-    return _plan("P Q Z W", M=("return", ["|K|", *sort]),
-                 K=("collect", ["|I|", "|B|", "|Y|"]),
-                 P=("retrieve_attribute", ["|M|", "id"]),
-                 Q=("retrieve_attribute", ["|M|", "size"]),
-                 Z=("retrieve_attribute", ["|M|", "year"]),
-                 S=("sort", ["|Z|", "asc"]), W=("row_number", ["|S|"]),
-                 **steps)
+    """Fires ranked by year (or as ``steps`` sort ``S``) over a
+    materialization of them, sorted by ``sort`` if given."""
+    return _plan("P Q Z W", **{
+        "M": ("return", ["|K|", *sort]),
+        "K": ("collect", ["|I|", "|B|", "|Y|"]),
+        "P": ("retrieve_attribute", ["|M|", "id"]),
+        "Q": ("retrieve_attribute", ["|M|", "size"]),
+        "Z": ("retrieve_attribute", ["|M|", "year"]),
+        "S": ("sort", ["|Z|", "asc"]), "W": ("row_number", ["|S|"]),
+        **steps})
+
+
+def _fact(fact_id, **request):
+    """The plan of the fact ``fact_id`` of a ranking request for Oregon's
+    average fire size by state, changed by ``request``, as ``instantiate``
+    composes it."""
+    doc = {"version": "report_request_v1", "report": "ranking",
+           "entity": "Wildfire", "metric": "size", "aggregation": "average",
+           "cohort": {"entity": "State", "key": "name"}, "target": "Oregon",
+           **request}
+    facts = instantiate(_ring(), load_blueprint("ranking"), parse_request(doc))
+    return next(f.plan for f in facts if f.id == fact_id)
 
 
 def _xfail(item, why, raises):
@@ -241,6 +255,32 @@ CASES = {
     "retrieve_entity_twice": ("retrieve_entity", _plan(
         "B Z", E=("retrieve_entity", ["Wildfire"]),
         Z=("retrieve_attribute", ["|E|", "year"])), ()),
+    # region shapes: a materialization is single-row by its columns, not by
+    # the rows it holds
+    "row_number_in_a_cohort_of_one": (
+        "row_number", _fact("target_rank", filters=[
+            {"attribute": "size", "op": "greater_than", "value": 250}]), ()),
+    "limit_0_of_an_ungrouped_aggregation": ("limit", _plan(
+        "X", M=("return", ["|V|", "|N|"]), V=("average", ["|B|"]),
+        N=("limit", [0]), X=("retrieve_attribute", ["|M|", "average size"])),
+        ()),
+    "entity_scan_beside_a_one_row_grouped_materialization": (
+        "return", _plan(
+            "I X", H=("average", ["|B|", "|G|"]), K=("collect", ["|D|", "|H|"]),
+            F=("exact", ["|D|", "Oregon"]), M=("return", ["|K|", "|F|"]),
+            X=("retrieve_attribute", ["|M|", "average size"])), ()),
+    "two_nested_aggregations_in_one_region": ("max", _plan(
+        "X W", H=("average", ["|B|", "|G|"]), J=("max", ["|B|", "|G|"]),
+        X=("max", ["|H|"]), W=("max", ["|J|"])), ()),
+    "row_number_by_a_key_that_binds_a_literal": (
+        "absolute_value", _ranked(S=("sort", ["|V|", "asc"]),
+                                  U=("subtract", ["|Q|", 175]),
+                                  V=("absolute_value", ["|U|"])), ()),
+    "nested_aggregation_beside_its_inner_one": ("max", _plan(
+        "H X", H=("average", ["|B|", "|G|"]), X=("max", ["|H|"])), ()),
+    "nested_aggregation_by_a_key_that_binds_a_literal": ("groupby", _plan(
+        "X", E=("subtract", ["|Y|", 2000]), K=("groupby", ["|E|"]),
+        H=("average", ["|B|", "|K|"]), X=("max", ["|H|"])), ()),
 }
 
 
@@ -253,12 +293,13 @@ def _outcome(evaluate):
 
 def assert_agree(ring, db, dataset, plan):
     """SQL and the oracle give the same rows at 1e-9 relative, or both
-    raise an ``AagError``."""
+    raise an ``AagError`` with the same message."""
     got = _outcome(lambda: run_plan(ring, plan, db))
     want = _outcome(lambda: oracle_eval(ring, plan, dataset))
     if isinstance(got, AagError) or isinstance(want, AagError):
         assert isinstance(got, AagError) and isinstance(want, AagError), \
             (got, want)
+        assert str(got) == str(want)
         return
     assert [c.name for c in got.columns] == [c.name for c in want.columns]
     assert len(got.rows) == len(want.rows), (got.rows, want.rows)

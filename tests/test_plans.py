@@ -162,6 +162,65 @@ def test_sort_direction_is_validated(ring):
 
 
 # ---------------------------------------------------------------------------
+# regions
+
+
+def _regions(result, **steps):
+    """Fires' sizes (``B``) and their states' names (``D``, grouped by
+    ``G``), their average per state (``H``) and its materialization ``M``,
+    plus ``steps`` (label: (op, args)), returning ``result`` as ``R``."""
+    base = dict(A=("retrieve_entity", ["Wildfire"]),
+                B=("retrieve_attribute", ["|A|", "size"]),
+                C=("retrieve_entity", ["State"]),
+                D=("retrieve_attribute", ["|C|", "name"]),
+                G=("groupby", ["|D|"]), H=("average", ["|B|", "|G|"]),
+                K=("collect", ["|D|", "|H|"]), M=("return", ["|K|"]),
+                N=("retrieve_attribute", ["|M|", "average size"]))
+    doc = {k: {"op": op, "args": args}
+           for k, (op, args) in {**base, **steps}.items()}
+    doc["R"] = {"op": "return", "args": result}
+    return parse_plan({"steps": doc, "result": "R"})
+
+
+def test_a_return_records_its_region(ring):
+    info = analyze_plan(ring, load_fixture_plan("max_of_state_averages"))
+    r = info["R"]
+    assert r.region == ("R", "M", "H", "G", "D", "C", "B", "A")  # depth first
+    assert (r.upstream, r.entities, r.nested_label, r.single_row) == \
+        ((), ("Wildfire", "State"), "H", True)
+    info = analyze_plan(ring, _regions(["|V|"], V=("max", ["|N|"])))
+    assert (info["R"].region, info["R"].upstream, info["R"].entities) == \
+        (("R", "V", "N"), ("M",), ())
+    assert (info["R"].single_row, info["M"].single_row) == (True, False)
+
+
+@pytest.mark.parametrize("result, steps, message", [
+    (["|Z|"], dict(Z=("collect", ["|B|", "|N|"])),
+     "region mixes entity scans with multi-row materializations"),
+    (["|Z|"], dict(M2=("return", ["|K|", "|F|"]),
+                   F=("exact", ["|D|", "Utah"]),
+                   N2=("retrieve_attribute", ["|M2|", "name"]),
+                   Z=("collect", ["|N|", "|N2|"])),
+     "region reads more than one multi-row materialization"),
+    (["|W|"], dict(S=("sort", ["|B|", "asc"]), W=("row_number", ["|S|"])),
+     "window rank requires a materialized row source"),
+    (["|Z|"], dict(J=("max", ["|B|", "|G|"]), X=("max", ["|H|"]),
+                   Y=("max", ["|J|"]), Z=("collect", ["|X|", "|Y|"])),
+     "multiple nested aggregations in one region"),
+    (["|X|"], dict(V=("average", ["|B|"]), X=("max", ["|V|"])),
+     "aggregation over an ungrouped aggregation"),
+    (["|Z|"], dict(X=("max", ["|H|"]), Z=("collect", ["|H|", "|X|"])),
+     "per-row column collected alongside an ungrouped aggregation"),
+    (["|Z|"], dict(V=("average", ["|B|"]), Z=("collect", ["|B|", "|V|"])),
+     "per-row column collected alongside an ungrouped aggregation"),
+])
+def test_analysis_rejects_each_region_shape_it_does_not_admit(
+        ring, result, steps, message):
+    with pytest.raises(AagError, match=rf"^{message}$"):
+        analyze_plan(ring, _regions(result, **steps))
+
+
+# ---------------------------------------------------------------------------
 # composition
 
 
